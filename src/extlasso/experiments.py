@@ -251,7 +251,14 @@ def _aggregate(cfg: SweepConfig, cells, records) -> SweepResult:
 
 def run_sweep(cfg: SweepConfig, n_workers: int = 1,
               progress=None) -> SweepResult:
-    """Run every (cell, trial) and aggregate; deterministic in master_seed."""
+    """Run every (cell, trial) and aggregate; deterministic in master_seed.
+
+    n_workers > 1 forks that many processes, and each keeps a BLAS thread
+    pool sized to the whole machine.  On a small machine set
+    OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) before Python starts, or
+    the pooled sweep oversubscribes the cores and runs slower than a serial
+    one once n reaches the thousands.
+    """
     cells = cfg.cells()
     tasks = [(cfg, cell, t) for cell in cells for t in range(cfg.trials)]
     if n_workers <= 1:

@@ -13,14 +13,15 @@ augmented design Z = [X, sqrt(n) I] is kept as a cross-check.
 Regularization is driven down a geometric lambda path by default (largest
 lambda first, warm starts): a cold start at very small lambda_e lets the
 corruption block absorb the entire residual and stalls the alternation,
-while warm-started supports contract at a linear rate.  Results are
-path-independent at tolerance.
-
-For very small lambdas (noiseless exact-recovery runs) float64 cannot even
-represent iterates accurately enough to certify a 1e-9 stationarity
-residual: one ulp of a unit-scale coordinate moves the scaled dual by
-~2e-16/lambda.  The solver therefore finishes in extended precision
-(float80 on x86) when lambdas fall below a safe multiple of the data scale.
+while warm-started supports contract at a linear rate.  The path runs in
+float64 to a loose 1e-6, enough to find the signed supports (T, S).  The
+exact finish then solves the restricted program on them and accepts the
+point only if every sign is kept and the full KKT residual at the target
+lambdas is at most tol_kkt.  It runs in float64 first, and in extended
+precision (float80 on x86) only when float64 cannot certify: one ulp of a
+unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  If neither
+certifies, coordinate descent resumes at the target lambdas and the finish
+is retried a bounded number of times before converged=False is returned.
 """
 from __future__ import annotations
 
@@ -33,13 +34,16 @@ from .model import (InputError, NumericError, ProblemInstance,
                     SingularMatrixError, Solution, objective_value)
 
 _MAX_COND = 1e12
-#: below lambda_e / (||y||_inf / sqrt(n)) = _LONGDOUBLE_SWITCH the final path
-#: levels run in extended precision.
-_LONGDOUBLE_SWITCH = 1e-6
+_PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
+_LEVEL_SWEEPS = 1000  # sweep cap of an intermediate path level
 _RESIDUAL_REFRESH = 64  # sweeps between from-scratch residual recomputations
+_KKT_REFRESH = 4  # sweeps between in-loop KKT residual checks
 _STALL_LIMIT = 50
 _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.1%
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
+_ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
+_FINISH_RETRIES = 3  # coordinate-descent resumes before a solve gives up
+_ROWS = 1024  # rows of X converted to extended precision at a time
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ class SolverConfig:
     algorithm: str = "block-coordinate"  # or "proximal-gradient"
     use_path: bool = True
     path_steps_per_decade: int = 3
-    precision: str = "auto"  # auto | float64 | longdouble
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -68,8 +71,6 @@ class SolverConfig:
             raise InputError("tolerances must be > 0")
         if self.algorithm not in ("block-coordinate", "proximal-gradient"):
             raise InputError(f"unknown algorithm {self.algorithm!r}")
-        if self.precision not in ("auto", "float64", "longdouble"):
-            raise InputError(f"unknown precision {self.precision!r}")
 
 
 def soft_threshold(x, t):
@@ -78,37 +79,67 @@ def soft_threshold(x, t):
     return np.where(mag > 0, np.sign(x) * mag, 0.0 * x)
 
 
+def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
+    """The scaled duals (X'r / (n lam_b), r / (sqrt(n) lam_e)) at (beta, e),
+    in the dtype of beta, and the largest violations of the optimality
+    system: |z_i - sgn x_i| on the supports, and |z_i| off them for the beta
+    block and for the e block.
+
+    Without r, the residual is computed here; for an extended-precision beta
+    X is converted _ROWS rows at a time, so no such copy of X is made."""
+    dt = beta.dtype
+    n = X.shape[0]
+    rn = np.sqrt(dt.type(n))
+    if r is None:
+        rows = n if X.dtype == dt else _ROWS
+        r = np.empty(n, dtype=dt)
+        g = np.zeros(X.shape[1], dtype=dt)
+        for i in range(0, n, rows):
+            Xc = X[i:i + rows].astype(dt, copy=False)
+            r[i:i + rows] = y[i:i + rows] - Xc @ beta - rn * e[i:i + rows]
+            g += Xc.T @ r[i:i + rows]
+    else:
+        g = X.T @ r
+    duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
+    on_worst, off = 0.0, []
+    for z, v in zip(duals, (beta, e)):
+        on = v != 0
+        on_worst = max(on_worst, float(np.max(np.abs(z[on] - np.sign(v[on])),
+                                              initial=0.0)))
+        off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
+    return duals, on_worst, off[0], off[1]
+
+
 def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
     """Max stationarity violation of the joint program at (beta, e)."""
+    _, on, off_b, off_e = _scaled_duals(X, y, beta, e, lam_b, lam_e, r)
+    return max(on, off_b - 1.0, off_e - 1.0, 0.0)
+
+
+def _float64_rounding_error(X, y, beta, e, lam_b, lam_e):
+    """Bound on the float64 rounding error of the scaled duals at (beta, e):
+    _ROUNDING_ULPS ulps of every term summed into r, carried into X'r by
+    Cauchy-Schwarz."""
     n = X.shape[0]
-    rn = np.sqrt(X.dtype.type(n))
-    if r is None:
-        r = y - X @ beta - rn * e
-    zb = (X.T @ r) / (n * lam_b)
-    ze = r / (rn * lam_e)
-    worst = 0.0
-    for z, v in ((zb, beta), (ze, e)):
-        on = v != 0
-        if np.any(on):
-            worst = max(worst, float(np.max(np.abs(z[on] - np.sign(v[on])))))
-        if np.any(~on):
-            worst = max(worst, max(float(np.max(np.abs(z[~on]))) - 1.0, 0.0))
-    return worst
+    err_r = _ROUNDING_ULPS * float(np.finfo(np.float64).eps) * (
+        np.abs(y) + np.abs(X) @ np.abs(beta) + math.sqrt(n) * np.abs(e))
+    col = math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
+    return max(col * float(np.linalg.norm(err_r)) / (n * lam_b),
+               float(np.max(err_r)) / (math.sqrt(n) * lam_e))
 
 
-def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj,
-         check_monotone=True):
-    """Alternating beta-sweep / e-step loop in the dtype of X.
+def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj):
+    """Alternating beta-sweep / e-step loop in float64.
 
-    Returns (beta, e, sweeps, kkt_residual, converged).
+    Stops when the KKT residual, checked every _KKT_REFRESH sweeps and on the
+    last, is at most tol, when progress stalls, or after max_sweeps.
+    Returns (beta, e, sweeps).
     """
-    dt = X.dtype
     n, p = X.shape
-    rn = np.sqrt(dt.type(n))
+    rn = math.sqrt(n)
     col_sq = np.einsum("ij,ij->j", X, X)
-    nlam_b = dt.type(n * lam_b)
+    nlam_b = n * lam_b
     r = y - X @ beta - rn * e
-    inv_n = dt.type(1.0) / dt.type(n)
     # Soft-threshold ties resolve to zero.  The residual is a difference of
     # large quantities, so the kink must be widened by the rounding scale of
     # what was subtracted or 1-ulp noise would activate coordinates that sit
@@ -116,18 +147,15 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj,
     # block).
     abs_X = np.abs(X)
     abs_y = np.abs(y)
-    guard_scale = _KINK_GUARD_ULPS * float(np.finfo(dt).eps) / rn
+    guard_scale = _KINK_GUARD_ULPS * float(np.finfo(np.float64).eps) / rn
 
     def objective(rv):
-        return float(0.5 * inv_n * (rv @ rv)
+        return float(0.5 / n * (rv @ rv)
                      + lam_b * np.abs(beta).sum() + lam_e * np.abs(e).sum())
 
     prev_obj = objective(r)
     best_kkt = math.inf
     stall = 0
-    converged = False
-    kkt = math.inf
-    sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         # beta first: on designs collinear with the corruption block the
         # shared mass then settles on the regression side, matching the
@@ -139,12 +167,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj,
             bj = beta[j]
             rho = X[:, j] @ r + cj * bj
             mag = abs(rho) - nlam_b
-            if mag > 0:
-                # stay in the working dtype: math.copysign would round
-                # extended-precision iterates back to float64
-                bj_new = (mag if rho > 0 else -mag) / cj
-            else:
-                bj_new = dt.type(0.0)
+            bj_new = math.copysign(mag, rho) / cj if mag > 0 else 0.0
             if bj_new != bj:
                 r += X[:, j] * (bj - bj_new)
                 beta[j] = bj_new
@@ -153,7 +176,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj,
         u = (r + rn * e) / rn
         guard = guard_scale * (abs_y + abs_X @ np.abs(beta) + rn * np.abs(e))
         mag = np.abs(u) - lam_e
-        e_new = np.where(mag > guard, np.sign(u) * mag, dt.type(0.0))
+        e_new = np.where(mag > guard, np.sign(u) * mag, 0.0)
         r += rn * (e - e_new)
         e = e_new
 
@@ -163,46 +186,64 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj,
         obj = objective(r)
         if not math.isfinite(obj):
             raise NumericError("non-finite objective during solve")
-        if check_monotone and obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
+        if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
             raise NumericError(
                 f"objective increased by {obj - prev_obj:.3e} in sweep {sweeps}"
             )
 
-        kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=r)
-        if kkt <= tol:
-            # re-verify against a freshly computed residual
-            r = y - X @ beta - rn * e
+        improved = False
+        if sweeps % _KKT_REFRESH == 0 or sweeps == max_sweeps:
             kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=r)
             if kkt <= tol:
-                converged = True
                 break
-
-        if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
-            best_kkt = kkt
-            stall = 0
-        elif prev_obj - obj <= tol_obj * max(1.0, abs(obj)):
+            if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
+                best_kkt = kkt
+                stall = 0
+                improved = True
+        if not improved and prev_obj - obj <= tol_obj * max(1.0, abs(obj)):
             stall += 1
             if stall >= _STALL_LIMIT:
                 break
         prev_obj = obj
-    return beta, e, sweeps, kkt, converged
+    return beta, e, sweeps
 
 
 def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e, per_decade):
     """Geometric schedule from (lmax) down to the target lambdas."""
-    decades = max(math.log10(max(lmax_b / lam_b, 1.0)),
-                  math.log10(max(lmax_e / lam_e, 1.0)))
-    steps = int(math.ceil(decades * per_decade))
-    if steps <= 0:
-        return [(lam_b, lam_e)]
-    levels = []
-    for t in range(1, steps + 1):
-        frac = t / steps
-        lb = lam_b * (max(lmax_b / lam_b, 1.0)) ** (1.0 - frac)
-        le = lam_e * (max(lmax_e / lam_e, 1.0)) ** (1.0 - frac)
-        levels.append((lb, le))
-    levels[-1] = (lam_b, lam_e)
-    return levels
+    span_b = max(lmax_b / lam_b, 1.0)
+    span_e = max(lmax_e / lam_e, 1.0)
+    decades = max(math.log10(span_b), math.log10(span_e))
+    steps = max(int(math.ceil(decades * per_decade)), 1)
+    return [(lam_b * span_b ** (1.0 - t / steps), lam_e * span_e ** (1.0 - t / steps))
+            for t in range(1, steps + 1)]
+
+
+def _exact_finish(instance, beta, e, lam_b, lam_e, tol):
+    """The certified stationary point on the signed supports of (beta, e).
+
+    Tries float64, then extended precision.  Returns (beta, e, kkt), or None
+    when neither certifies: a sign flips, the restricted system is singular,
+    or the residual exceeds tol.  kkt_check re-evaluates a float64 point in
+    extended precision, so its residual must leave room for its rounding.
+    """
+    X, y = instance.X, instance.y
+    T = np.flatnonzero(beta)
+    S = np.flatnonzero(e)
+    for dt in (np.float64, np.longdouble):
+        try:
+            _, _, b, ee = restricted_solution(
+                instance, T, S, lam_b, lam_e, np.sign(beta[T]), np.sign(e[S]),
+                anchor_beta=beta, anchor_e=e, dtype=dt)
+        except SingularMatrixError:
+            return None
+        if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
+                and np.array_equal(np.sign(ee[S]), np.sign(e[S]))):
+            continue
+        kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
+        if kkt <= tol and (dt is np.longdouble or kkt + _float64_rounding_error(
+                X, y, b, ee, lam_b, lam_e) <= tol):
+            return b, ee, kkt
+    return None
 
 
 def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
@@ -216,69 +257,57 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     if cfg.algorithm == "proximal-gradient":
         return _solve_fista(instance, lam_b, lam_e, cfg, beta0=beta0, e0=e0)
 
-    X64 = instance.X
-    y64 = instance.y
-    n, p = X64.shape
+    X = instance.X
+    y = instance.y
+    n, p = X.shape
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     e = np.zeros(n) if e0 is None else np.array(e0, dtype=np.float64)
 
-    lmax_b = float(np.max(np.abs(X64.T @ y64))) / n
-    lmax_e = float(np.max(np.abs(y64))) / math.sqrt(n)
+    lmax_b = float(np.max(np.abs(X.T @ y))) / n
+    lmax_e = float(np.max(np.abs(y))) / math.sqrt(n)
+    levels = [(lam_b, lam_e)]
     if cfg.use_path:
-        levels = _lambda_levels(max(lmax_b, lam_b), max(lmax_e, lam_e),
-                                lam_b, lam_e, cfg.path_steps_per_decade)
-    else:
-        levels = [(lam_b, lam_e)]
+        levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e,
+                                cfg.path_steps_per_decade)
 
-    scale_e = max(lmax_e, lam_e)
-    def wants_longdouble(le):
-        if cfg.precision == "float64":
-            return False
-        if cfg.precision == "longdouble":
-            return True
-        return le < _LONGDOUBLE_SWITCH * scale_e
-
-    Xld = yld = None
-    X, y = X64, y64
+    # the path runs to path_tol; at the target lambdas the exact finish is
+    # tried, and on failure coordinate descent resumes there to tol_kkt
+    schedule = levels + [(lam_b, lam_e)] * _FINISH_RETRIES
+    path_tol = max(cfg.tol_kkt, _PATH_TOL)
     total = 0
-    converged = False
-    reached_final = False
     budget = cfg.max_iters
-    for i, (lb, le) in enumerate(levels):
-        final = i == len(levels) - 1
-        if wants_longdouble(le):
-            if Xld is None:
-                Xld = np.asfortranarray(X64, dtype=np.longdouble)
-                yld = y64.astype(np.longdouble)
-            X, y = Xld, yld
-            beta = beta.astype(np.longdouble)
-            e = e.astype(np.longdouble)
-        else:
-            X, y = X64, y64
-        tol = cfg.tol_kkt if final else max(cfg.tol_kkt, 1e-6)
-        max_sweeps = budget if final else min(budget, 1000)
+    found = None
+    for i, (lb, le) in enumerate(schedule):
+        final = i >= len(levels) - 1
+        max_sweeps = budget if final else min(budget, _LEVEL_SWEEPS)
         if max_sweeps < 1:
             break
-        reached_final = final
-        beta, e, it, _, converged = _bcd(X, y, lb, le, beta, e, tol,
-                                         max_sweeps, cfg.tol_obj)
+        tol = path_tol if i < len(levels) else cfg.tol_kkt
+        beta, e, it = _bcd(X, y, lb, le, beta, e, tol, max_sweeps, cfg.tol_obj)
         total += it
         budget -= it
-
-    # always measured at the target lambdas (the budget may have run out on
-    # an intermediate path level)
-    kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
+        if final:
+            found = _exact_finish(instance, beta, e, lam_b, lam_e, cfg.tol_kkt)
+            if found is not None:
+                break
+    if found is not None:
+        beta, e, kkt = found
+    else:
+        kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
     obj = objective_value(instance, beta, e, lam_b, lam_e)
     return Solution(beta_hat=beta, e_hat=e, lambda_beta=lam_b, lambda_e=lam_e,
-                    objective=obj, iterations=total,
-                    converged=bool(reached_final and converged
-                                   and kkt <= cfg.tol_kkt),
+                    objective=obj, iterations=total, converged=found is not None,
                     kkt_residual=float(kkt))
 
 
 def solve_standard_lasso(X, y, lam: float, config: SolverConfig | None = None,
                          beta0=None) -> np.ndarray:
-    """Cyclic coordinate descent for (1/2n)||y - X beta||^2 + lam ||beta||_1."""
+    """Cyclic coordinate descent for (1/2n)||y - X beta||^2 + lam ||beta||_1.
+
+    Runs the joint kernel with lambda_e so large that e stays zero: no
+    iterate's objective exceeds the start's, which bounds ||beta||_1 and so
+    every residual entry below sqrt(n) lambda_e / 2.
+    """
     cfg = config or SolverConfig()
     if lam <= 0:
         raise InputError("lam must be > 0")
@@ -286,33 +315,11 @@ def solve_standard_lasso(X, y, lam: float, config: SolverConfig | None = None,
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
-    col_sq = np.einsum("ij,ij->j", X, X)
     r = y - X @ beta
-    nlam = n * lam
-    for sweep in range(cfg.max_iters):
-        for j in range(p):
-            cj = col_sq[j]
-            if cj == 0.0:
-                continue
-            bj = beta[j]
-            rho = X[:, j] @ r + cj * bj
-            mag = abs(rho) - nlam
-            bj_new = (math.copysign(mag, rho) / cj) if mag > 0 else 0.0
-            if bj_new != bj:
-                r += X[:, j] * (bj - bj_new)
-                beta[j] = bj_new
-        if not np.all(np.isfinite(beta)):
-            raise NumericError("non-finite iterate in standard lasso")
-        z = (X.T @ r) / nlam
-        on = beta != 0
-        worst = 0.0
-        if np.any(on):
-            worst = float(np.max(np.abs(z[on] - np.sign(beta[on]))))
-        if np.any(~on):
-            worst = max(worst, max(float(np.max(np.abs(z[~on]))) - 1.0, 0.0))
-        if worst <= cfg.tol_kkt:
-            break
-    return beta
+    l1_bound = (r @ r / (2 * n) + lam * np.abs(beta).sum()) / lam
+    lam_e = 2 * (1 + np.max(np.abs(y)) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
+    return _bcd(X, y, lam, float(lam_e), beta, np.zeros(n), cfg.tol_kkt,
+                cfg.max_iters, cfg.tol_obj)[0]
 
 
 def _power_spectral_norm(X, iters=100, seed=0):
@@ -407,11 +414,12 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
 
     Anchors default to the instance truth; without truth, pass anchors
     (beta~, e~) and the effective noise becomes w = y - X beta~ - sqrt(n) e~.
-    Signs default to the anchor's signs on the supports.
+    Signs default to the anchor's signs on the supports.  Only the columns
+    of X in T or in the anchor's support are converted to dtype.
     """
     if lam_b < 0 or lam_e < 0:
         raise InputError("lam_b and lam_e must be >= 0")
-    X = instance.X.astype(dtype, copy=False)
+    X = instance.X
     y = instance.y.astype(dtype, copy=False)
     n, p = X.shape
     T = np.asarray(T, dtype=np.intp)
@@ -436,13 +444,14 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
     sign_beta = np.asarray(sign_beta, dtype=dtype)
     sign_e = np.asarray(sign_e, dtype=dtype)
 
-    w_eff = y - X @ anchor_beta - np.sqrt(dtype(n)) * anchor_e
+    rn = np.sqrt(dtype(n))
+    nz = np.flatnonzero(anchor_beta)
+    w_eff = y - X[:, nz].astype(dtype, copy=False) @ anchor_beta[nz] - rn * anchor_e
     mask = np.ones(n, dtype=bool)
     mask[S] = False
     Sc = np.flatnonzero(mask)
-    XScT = X[np.ix_(Sc, T)]
-    XST = X[np.ix_(S, T)]
-    rn = np.sqrt(dtype(n))
+    XScT = X[np.ix_(Sc, T)].astype(dtype, copy=False)
+    XST = X[np.ix_(S, T)].astype(dtype, copy=False)
 
     if k > 0:
         sv = np.linalg.svd(XScT.astype(np.float64), compute_uv=False)

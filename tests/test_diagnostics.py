@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ class TestKktCheck:
         rep = xl.kkt_check(inst, sol)
         assert rep.stationarity_residual <= 1e-9
         assert rep.sign_consistent
+
+    def test_certified_requires_stationarity(self):
+        inst = xl.gen_instance(80, 16, k=4, s=20, sigma=0.2, seed=41)
+        pair = xl.lambdas_simulation(0.2, 80, 16)
+        sol = xl.solve_extended_lasso(inst, *pair)
+        assert xl.kkt_check(inst, sol).certified
+        scaled = replace(sol, beta_hat=1.01 * np.asarray(sol.beta_hat))
+        rep = xl.kkt_check(inst, scaled)
+        # the duals stay feasible and sign-consistent: only stationarity fails
+        assert rep.strict_feasible and rep.sign_consistent
+        assert rep.stationarity_residual > 1e-3
+        assert not rep.certified
+        assert xl.kkt_check(inst, scaled, tol=1.0).certified
 
     def test_certified_solution_is_the_restricted_point_of_its_supports(self):
         """Strict feasibility + sign consistency imply the solution equals

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import extlasso as xl
+from extlasso import solver
 from extlasso.model import GroundTruth, ProblemInstance
 from extlasso.solver import SolverConfig
 
@@ -234,6 +236,65 @@ class TestExtendedLasso:
         pair = xl.lambdas_simulation(0.1, 30, 8)
         sol = xl.solve_extended_lasso(inst, *pair)
         sol.validate_objective(inst)
+
+
+class TestExactFinish:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 60), p=st.integers(1, 10), k=st.integers(1, 4),
+           s_frac=st.floats(0.0, 0.4), sigma=st.sampled_from([0.0, 0.1]),
+           e_scale=st.sampled_from([1.0, 100.0, 1e4]),
+           log_lam=st.floats(-9.0, -2.0), log_ratio=st.floats(-1.0, 1.0),
+           seed=st.integers(0, 10_000))
+    # gross corruption at a moderate lambda: the float64 residual alone reads
+    # below 1e-9 here, and only its rounding bound sends the finish on to
+    # extended precision
+    @example(n=10, p=1, k=2, s_frac=0.147, sigma=0.1, e_scale=1e4,
+             log_lam=-4.088, log_ratio=0.678, seed=4265)
+    def test_converged_solves_certify(self, n, p, k, s_frac, sigma, e_scale,
+                                      log_lam, log_ratio, seed):
+        """Every solve that reports convergence is stationary to tol_kkt and
+        sign-consistent when re-evaluated in extended precision, tiny
+        lambdas included."""
+        inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
+                               sigma=sigma, seed=seed, e_scale=e_scale)
+        lam_b = 10.0 ** log_lam
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_b * 10.0 ** log_ratio)
+        if sol.converged:
+            rep = xl.kkt_check(inst, sol)
+            assert rep.stationarity_residual <= 1e-9
+            assert rep.sign_consistent
+            assert max(rep.max_offsupport_zbeta, rep.max_offsupport_ze) \
+                <= 1.0 + 1e-9
+
+    def test_noiseless_tiny_lambda_finishes_in_extended_precision(self):
+        inst = xl.gen_instance(200, 16, k=3, s=100, sigma=0.0, seed=3)
+        sol = xl.solve_extended_lasso(inst, 5e-9, 2.5e-9)
+        assert sol.converged
+        assert sol.beta_hat.dtype == np.longdouble
+        assert xl.kkt_check(inst, sol).certified
+
+    def test_moderate_lambda_finishes_in_float64(self):
+        inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
+        sol = xl.solve_extended_lasso(inst, *xl.lambdas_simulation(0.15, 60, 15))
+        assert sol.converged
+        assert sol.beta_hat.dtype == np.float64
+
+    def test_singular_finish_falls_back_to_not_converged(self, monkeypatch):
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(kwargs["dtype"])
+            raise xl.SingularMatrixError("forced")
+
+        monkeypatch.setattr(solver, "restricted_solution", singular)
+        inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
+        lam_b, lam_e = xl.lambdas_simulation(0.15, 60, 15)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        # one float64 finish after the path and one after each bounded resume
+        assert calls == [np.float64] * (1 + solver._FINISH_RETRIES)
+        assert not sol.converged
+        assert sol.kkt_residual == solver._joint_kkt_residual(
+            inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,7 @@ def _cmd_generate(ns) -> int:
 
 
 def _solver_config(ns) -> SolverConfig:
-    return SolverConfig(max_iters=ns.max_iters, tol_kkt=ns.tol_kkt,
-                        algorithm=ns.algorithm)
+    return SolverConfig(max_iters=ns.max_iters, tol_kkt=ns.tol_kkt)
 
 
 def _resolve_lambdas(ns, inst: ProblemInstance) -> tuple[float, float]:
@@ -257,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sigma", type=float, default=None)
     s.add_argument("--max-iters", type=int, default=50_000)
     s.add_argument("--tol-kkt", type=float, default=1e-9)
-    s.add_argument("--algorithm", default="block-coordinate",
-                   choices=("block-coordinate", "proximal-gradient"))
     s.add_argument("-o", "--output", default="-")
     s.set_defaults(func=_cmd_solve)
 

@@ -5,10 +5,14 @@
 
 and for its restriction to fixed supports (closed form).
 
-The default algorithm alternates one full sweep of cyclic coordinate
-descent on beta with an exact e-update (the e-subproblem is separable
-soft-thresholding).  A proximal-gradient (FISTA) implementation on the
-augmented design Z = [X, sqrt(n) I] is kept as a cross-check.
+The solver alternates one sweep of cyclic coordinate descent on beta with
+an exact e-update (the e-subproblem is separable soft-thresholding).  Each
+beta sweep visits only a working set W: the support of beta plus every
+zero coordinate whose scaled dual |X_j'r|/(n lambda_beta) is at least 1,
+since any other zero coordinate would be left at zero by its own update.
+W is formed when a level starts and refreshed from the scaled duals of the
+in-loop KKT check, which still covers all p coordinates, so when a level
+stops and what it certifies do not depend on W.
 
 Regularization is driven down a geometric lambda path by default (largest
 lambda first, warm starts): a cold start at very small lambda_e lets the
@@ -48,7 +52,7 @@ _ROWS = 1024  # rows of X converted to extended precision at a time
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and algorithm knobs.
+    """Termination and path knobs.
 
     tol_kkt is the target stationarity residual (scaled dual units):
     max over coordinates of |z_i - sgn x_i| on the support and of
@@ -60,7 +64,6 @@ class SolverConfig:
     max_iters: int = 50_000
     tol_kkt: float = 1e-9
     tol_obj: float = 1e-12
-    algorithm: str = "block-coordinate"  # or "proximal-gradient"
     use_path: bool = True
     path_steps_per_decade: int = 3
 
@@ -69,8 +72,6 @@ class SolverConfig:
             raise InputError("max_iters must be >= 1")
         if self.tol_kkt <= 0 or self.tol_obj <= 0:
             raise InputError("tolerances must be > 0")
-        if self.algorithm not in ("block-coordinate", "proximal-gradient"):
-            raise InputError(f"unknown algorithm {self.algorithm!r}")
 
 
 def soft_threshold(x, t):
@@ -116,28 +117,45 @@ def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
     return max(on, off_b - 1.0, off_e - 1.0, 0.0)
 
 
-def _float64_rounding_error(X, y, beta, e, lam_b, lam_e):
+def _abs_X_beta(X, beta):
+    """|X| |beta|, summed over the support columns of beta only."""
+    T = np.flatnonzero(beta)
+    return np.abs(X[:, T]) @ np.abs(beta[T])
+
+
+def _float64_rounding_error(X, abs_y, col_sq, beta, e, lam_b, lam_e):
     """Bound on the float64 rounding error of the scaled duals at (beta, e):
     _ROUNDING_ULPS ulps of every term summed into r, carried into X'r by
     Cauchy-Schwarz."""
     n = X.shape[0]
     err_r = _ROUNDING_ULPS * float(np.finfo(np.float64).eps) * (
-        np.abs(y) + np.abs(X) @ np.abs(beta) + math.sqrt(n) * np.abs(e))
-    col = math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
+        abs_y + _abs_X_beta(X, beta) + math.sqrt(n) * np.abs(e))
+    col = math.sqrt(float(np.max(col_sq, initial=0.0)))
     return max(col * float(np.linalg.norm(err_r)) / (n * lam_b),
                float(np.max(err_r)) / (math.sqrt(n) * lam_e))
 
 
-def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj):
+def _working_set(beta, z_b):
+    """Coordinates a beta sweep visits: the support of beta and every zero
+    coordinate whose scaled dual z_b reaches 1 in magnitude.  Any other zero
+    coordinate would be left at zero by its own update."""
+    return np.flatnonzero((beta != 0) | (np.abs(z_b) >= 1.0)).tolist()
+
+
+def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
     """Alternating beta-sweep / e-step loop in float64.
 
-    Stops when the KKT residual, checked every _KKT_REFRESH sweeps and on the
-    last, is at most tol, when progress stalls, or after max_sweeps.
-    Returns (beta, e, sweeps).
+    Each beta sweep runs cyclic coordinate descent over the working set
+    only (_working_set), formed from one X'r when the loop starts and
+    refreshed from the duals of the KKT check; beta stays zero off it.
+    col_sq (squared column norms of X) and abs_y (|y|) are fixed per solve.
+
+    Stops when the KKT residual over all p coordinates, checked every
+    _KKT_REFRESH sweeps and on the last, is at most tol, when progress
+    stalls, or after max_sweeps.  Returns (beta, e, sweeps).
     """
-    n, p = X.shape
+    n = X.shape[0]
     rn = math.sqrt(n)
-    col_sq = np.einsum("ij,ij->j", X, X)
     nlam_b = n * lam_b
     r = y - X @ beta - rn * e
     # Soft-threshold ties resolve to zero.  The residual is a difference of
@@ -145,14 +163,13 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj):
     # what was subtracted or 1-ulp noise would activate coordinates that sit
     # exactly at the threshold (e.g. designs collinear with the corruption
     # block).
-    abs_X = np.abs(X)
-    abs_y = np.abs(y)
     guard_scale = _KINK_GUARD_ULPS * float(np.finfo(np.float64).eps) / rn
 
     def objective(rv):
         return float(0.5 / n * (rv @ rv)
                      + lam_b * np.abs(beta).sum() + lam_e * np.abs(e).sum())
 
+    W = _working_set(beta, X.T @ r / nlam_b)
     prev_obj = objective(r)
     best_kkt = math.inf
     stall = 0
@@ -160,7 +177,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj):
         # beta first: on designs collinear with the corruption block the
         # shared mass then settles on the regression side, matching the
         # tie-to-zero convention for e.
-        for j in range(p):
+        for j in W:
             cj = col_sq[j]
             if cj == 0.0:
                 continue
@@ -174,7 +191,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj):
 
         # exact e-update: minimizer over e alone is soft((y - X beta)/rn, lam_e)
         u = (r + rn * e) / rn
-        guard = guard_scale * (abs_y + abs_X @ np.abs(beta) + rn * np.abs(e))
+        guard = guard_scale * (abs_y + _abs_X_beta(X, beta) + rn * np.abs(e))
         mag = np.abs(u) - lam_e
         e_new = np.where(mag > guard, np.sign(u) * mag, 0.0)
         r += rn * (e - e_new)
@@ -193,9 +210,12 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj):
 
         improved = False
         if sweeps % _KKT_REFRESH == 0 or sweeps == max_sweeps:
-            kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=r)
+            (z_b, _), on, off_b, off_e = _scaled_duals(X, y, beta, e, lam_b,
+                                                       lam_e, r=r)
+            kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
             if kkt <= tol:
                 break
+            W = _working_set(beta, z_b)
             if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
                 best_kkt = kkt
                 stall = 0
@@ -218,7 +238,7 @@ def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e, per_decade):
             for t in range(1, steps + 1)]
 
 
-def _exact_finish(instance, beta, e, lam_b, lam_e, tol):
+def _exact_finish(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y):
     """The certified stationary point on the signed supports of (beta, e).
 
     Tries float64, then extended precision.  Returns (beta, e, kkt), or None
@@ -241,7 +261,7 @@ def _exact_finish(instance, beta, e, lam_b, lam_e, tol):
             continue
         kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
         if kkt <= tol and (dt is np.longdouble or kkt + _float64_rounding_error(
-                X, y, b, ee, lam_b, lam_e) <= tol):
+                X, abs_y, col_sq, b, ee, lam_b, lam_e) <= tol):
             return b, ee, kkt
     return None
 
@@ -254,17 +274,17 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     cfg = config or SolverConfig()
     if lam_b <= 0 or lam_e <= 0:
         raise InputError("lam_b and lam_e must be > 0")
-    if cfg.algorithm == "proximal-gradient":
-        return _solve_fista(instance, lam_b, lam_e, cfg, beta0=beta0, e0=e0)
 
     X = instance.X
     y = instance.y
     n, p = X.shape
+    col_sq = np.einsum("ij,ij->j", X, X)
+    abs_y = np.abs(y)
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     e = np.zeros(n) if e0 is None else np.array(e0, dtype=np.float64)
 
     lmax_b = float(np.max(np.abs(X.T @ y))) / n
-    lmax_e = float(np.max(np.abs(y))) / math.sqrt(n)
+    lmax_e = float(np.max(abs_y)) / math.sqrt(n)
     levels = [(lam_b, lam_e)]
     if cfg.use_path:
         levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e,
@@ -283,11 +303,13 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
         if max_sweeps < 1:
             break
         tol = path_tol if i < len(levels) else cfg.tol_kkt
-        beta, e, it = _bcd(X, y, lb, le, beta, e, tol, max_sweeps, cfg.tol_obj)
+        beta, e, it = _bcd(X, y, lb, le, beta, e, tol, max_sweeps, cfg.tol_obj,
+                           col_sq, abs_y)
         total += it
         budget -= it
         if final:
-            found = _exact_finish(instance, beta, e, lam_b, lam_e, cfg.tol_kkt)
+            found = _exact_finish(instance, beta, e, lam_b, lam_e,
+                                  cfg.tol_kkt, col_sq, abs_y)
             if found is not None:
                 break
     if found is not None:
@@ -317,67 +339,11 @@ def solve_standard_lasso(X, y, lam: float, config: SolverConfig | None = None,
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     r = y - X @ beta
     l1_bound = (r @ r / (2 * n) + lam * np.abs(beta).sum()) / lam
-    lam_e = 2 * (1 + np.max(np.abs(y)) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
+    abs_y = np.abs(y)
+    lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
     return _bcd(X, y, lam, float(lam_e), beta, np.zeros(n), cfg.tol_kkt,
-                cfg.max_iters, cfg.tol_obj)[0]
-
-
-def _power_spectral_norm(X, iters=100, seed=0):
-    """Largest singular value by power iteration on X^T X."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(X.shape[1])
-    v /= np.linalg.norm(v)
-    s = 0.0
-    for _ in range(iters):
-        u = X @ v
-        v = X.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        s = math.sqrt(nv)
-        v /= nv
-    return s
-
-
-def _solve_fista(instance, lam_b, lam_e, cfg, *, beta0=None, e0=None):
-    """FISTA on the augmented design Z = [X, sqrt(n) I]; cross-check solver."""
-    X = instance.X
-    y = instance.y
-    n, p = X.shape
-    rn = math.sqrt(n)
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
-    e = np.zeros(n) if e0 is None else np.array(e0, dtype=np.float64)
-    # ||Z||^2 = smax(X)^2 + n since Z Z^T = X X^T + n I
-    smax = float(np.linalg.norm(X, 2)) if min(n, p) <= 2048 else _power_spectral_norm(X)
-    L = (smax ** 2 + n) / n
-    step = 1.0 / L
-    vb, ve = beta.copy(), e.copy()
-    t = 1.0
-    kkt = math.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        r = y - X @ vb - rn * ve
-        gb = -(X.T @ r) / n
-        ge = -r / rn
-        beta_new = soft_threshold(vb - step * gb, step * lam_b)
-        e_new = soft_threshold(ve - step * ge, step * lam_e)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        mom = (t - 1.0) / t_new
-        vb = beta_new + mom * (beta_new - beta)
-        ve = e_new + mom * (e_new - e)
-        beta, e, t = beta_new, e_new, t_new
-        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(e))):
-            raise NumericError("non-finite iterate in proximal-gradient solve")
-        if it % 10 == 0 or it == cfg.max_iters:
-            kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
-            if kkt <= cfg.tol_kkt:
-                converged = True
-                break
-    obj = objective_value(instance, beta, e, lam_b, lam_e)
-    return Solution(beta_hat=beta, e_hat=e, lambda_beta=lam_b, lambda_e=lam_e,
-                    objective=obj, iterations=it, converged=converged,
-                    kkt_residual=float(kkt))
+                cfg.max_iters, cfg.tol_obj, np.einsum("ij,ij->j", X, X),
+                abs_y)[0]
 
 
 def _solve_linear(G, rhs):

@@ -96,6 +96,52 @@ def restricted_by_normal_equations(X, y, beta_star, e_star, w, T, S,
     return hT, gS
 
 
+def fista(X, y, lam_b, lam_e, tol, iters=50_000):
+    """FISTA on the augmented design Z = [X, sqrt(n) I] with the fixed step
+    1/L, L = ||Z||^2 / n, from zero and without a lambda path.
+
+    A search path independent of coordinate descent; at small lambdas it
+    cannot reach 1e-9 stationarity, so it runs to tol.  Returns the objective
+    at the last iterate and whether the KKT residual reached tol.
+    """
+    n, p = X.shape
+    rn = math.sqrt(n)
+    step = n / (np.linalg.norm(X, 2) ** 2 + n)  # ||Z||^2 = smax(X)^2 + n
+    beta, e = np.zeros(p), np.zeros(n)
+    vb, ve = beta.copy(), e.copy()
+    t = 1.0
+    converged = False
+    for it in range(1, iters + 1):
+        r = y - X @ vb - rn * ve
+        beta_new = xl.soft_threshold(vb + step * (X.T @ r) / n, step * lam_b)
+        e_new = xl.soft_threshold(ve + step * r / rn, step * lam_e)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        mom = (t - 1.0) / t_new
+        vb = beta_new + mom * (beta_new - beta)
+        ve = e_new + mom * (e_new - e)
+        beta, e, t = beta_new, e_new, t_new
+        if it % 10 == 0 and solver._joint_kkt_residual(
+                X, y, beta, e, lam_b, lam_e) <= tol:
+            converged = True
+            break
+    r = y - X @ beta - rn * e
+    obj = r @ r / (2 * n) + lam_b * np.abs(beta).sum() + lam_e * np.abs(e).sum()
+    return obj, converged
+
+
+def assert_converged_certifies(inst, lam_b, lam_e):
+    """If the solve reports convergence, it is stationary to 1e-9,
+    sign-consistent and dual-feasible over all coordinates when re-evaluated
+    in extended precision."""
+    sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+    if sol.converged:
+        rep = xl.kkt_check(inst, sol)
+        assert rep.stationarity_residual <= 1e-9
+        assert rep.sign_consistent
+        assert max(rep.max_offsupport_zbeta, rep.max_offsupport_ze) \
+            <= 1.0 + 1e-9
+
+
 def make_instance_from_parts(X, beta_star, e_star, w, sigma=0.0):
     n = X.shape[0]
     y = X @ beta_star + math.sqrt(n) * e_star + w
@@ -220,11 +266,9 @@ class TestExtendedLasso:
         inst = xl.gen_instance(40, 8, k=2, s=8, sigma=0.2, seed=24)
         pair = xl.lambdas_simulation(0.2, 40, 8)
         bcd = xl.solve_extended_lasso(inst, *pair)
-        fista = xl.solve_extended_lasso(
-            inst, *pair, config=SolverConfig(algorithm="proximal-gradient",
-                                             tol_kkt=1e-7))
-        assert fista.converged
-        assert bcd.objective == pytest.approx(fista.objective, rel=1e-6)
+        obj, converged = fista(inst.X, inst.y, *pair, tol=1e-7)
+        assert converged
+        assert bcd.objective == pytest.approx(obj, rel=1e-6)
 
     def test_invalid_lambdas(self):
         inst = xl.gen_instance(10, 4, k=1, s=2, sigma=0.1, seed=1)
@@ -258,13 +302,7 @@ class TestExactFinish:
         inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
                                sigma=sigma, seed=seed, e_scale=e_scale)
         lam_b = 10.0 ** log_lam
-        sol = xl.solve_extended_lasso(inst, lam_b, lam_b * 10.0 ** log_ratio)
-        if sol.converged:
-            rep = xl.kkt_check(inst, sol)
-            assert rep.stationarity_residual <= 1e-9
-            assert rep.sign_consistent
-            assert max(rep.max_offsupport_zbeta, rep.max_offsupport_ze) \
-                <= 1.0 + 1e-9
+        assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
 
     def test_noiseless_tiny_lambda_finishes_in_extended_precision(self):
         inst = xl.gen_instance(200, 16, k=3, s=100, sigma=0.0, seed=3)
@@ -295,6 +333,74 @@ class TestExactFinish:
         assert not sol.converged
         assert sol.kkt_residual == solver._joint_kkt_residual(
             inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
+
+
+class TestWorkingSet:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 80), p=st.integers(2, 64), k=st.integers(1, 4),
+           s_frac=st.floats(0.0, 0.4), sigma=st.sampled_from([0.0, 0.1]),
+           design=st.sampled_from(["identity", "ar1"]),
+           rho=st.floats(0.0, 0.9), log_lam=st.floats(-6.0, -1.0),
+           log_ratio=st.floats(-1.0, 1.0), seed=st.integers(0, 10_000))
+    def test_converged_solves_certify(self, n, p, k, s_frac, sigma, design,
+                                      rho, log_lam, log_ratio, seed):
+        """With beta sweeps restricted to the working set, every solve that
+        reports convergence still certifies over all p coordinates."""
+        spec = xl.CovarianceSpec(design, p=p,
+                                 rho=rho if design == "ar1" else 0.0)
+        inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
+                               sigma=sigma, spec=spec, seed=seed)
+        lam_b = 10.0 ** log_lam
+        assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
+
+    def test_coordinate_enters_mid_level(self, monkeypatch):
+        """Two columns with correlation 0.95: the second joins the working
+        set at a refresh inside a path level, and the solve still converges
+        to the closed form on its own signed supports."""
+        rng = np.random.default_rng(2)
+        n, p = 30, 6
+        X = rng.standard_normal((n, p))
+        X[:, 1] = 0.95 * X[:, 0] + math.sqrt(1 - 0.95 ** 2) * X[:, 1]
+        beta_star = np.zeros(p)
+        beta_star[[0, 1]] = [3.0, -2.5]
+        e_star = np.zeros(n)
+        e_star[:3] = 2.0 * rng.choice([-1.0, 1.0], 3)
+        inst = make_instance_from_parts(np.asfortranarray(X), beta_star,
+                                        e_star, 0.05 * rng.standard_normal(n),
+                                        sigma=0.05)
+        lam_b, lam_e = 0.02, 0.05
+
+        sets, finals = [], []  # per _bcd call: its working sets, its beta
+        real_bcd, real_ws = solver._bcd, solver._working_set
+
+        def bcd(*args):
+            sets.append([])
+            out = real_bcd(*args)
+            finals.append(out[0].copy())
+            return out
+
+        def working_set(beta, z_b):
+            W = real_ws(beta, z_b)
+            sets[-1].append(set(W))
+            return W
+
+        monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "_working_set", working_set)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+
+        assert any(len(W) < p for level in sets for W in level)
+        entered = set().union(*(set(np.flatnonzero(beta).tolist()) - level[0]
+                                for level, beta in zip(sets, finals)))
+        assert 1 in entered
+        assert sol.converged
+        assert xl.kkt_check(inst, sol).certified
+        T, S = np.flatnonzero(sol.beta_hat), np.flatnonzero(sol.e_hat)
+        assert set(T.tolist()) == {0, 1}
+        _, _, beta_r, e_r = xl.restricted_solution(
+            inst, T, S, lam_b, lam_e, np.sign(sol.beta_hat[T]),
+            np.sign(sol.e_hat[S]))
+        np.testing.assert_allclose(sol.beta_hat, beta_r, atol=1e-10)
+        np.testing.assert_allclose(sol.e_hat, e_r, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

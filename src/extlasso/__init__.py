@@ -20,8 +20,8 @@ from .model import (DEFAULT_ZERO_TOL, GenerationMeta, GroundTruth, InputError,
                     objective_value)
 from .datagen import (CovarianceSpec, SparsityRegime, gen_design,
                       gen_instance, gen_sparse_vector, n_from_theta)
-from .solver import (SolverConfig, restricted_solution, soft_threshold,
-                     solve_extended_lasso, solve_standard_lasso)
+from .solver import (SolverConfig, restricted_solution, solve_extended_lasso,
+                     solve_standard_lasso)
 from .regparams import (CovarianceReport, IDENTITY_REPORT, LambdaPair,
                         TheoryInputs, covariance_report,
                         lambdas_gaussian_design, lambdas_noise_oracle,
@@ -29,8 +29,7 @@ from .regparams import (CovarianceReport, IDENTITY_REPORT, LambdaPair,
                         magnitude_thresholds, sample_size_achievable,
                         sample_size_unachievable)
 from .diagnostics import (KktReport, ReEstimate, RecoveryMetrics,
-                          WitnessReport, brute_force_re_min,
-                          extended_re_estimate, kkt_check,
+                          WitnessReport, extended_re_estimate, kkt_check,
                           parameter_error_bound, primal_dual_witness,
                           recovery_metrics)
 from .experiments import (ErrorScalingResult, SweepConfig, SweepResult,

@@ -21,15 +21,16 @@ extended_re_estimate samples the cone
 
     ||h_Tc||_1 + lam ||f_Sc||_1 <= 3 ||h_T||_1 + 3 lam ||f_S||_1
 
-and reports the smallest observed value of ||X h + sqrt(n) f||_2 / sqrt(n)
-over directions normalized to ||h||_2 + ||f||_2 = 1.  Sampling can only
-over-estimate the true cone minimum; brute_force_re_min provides a much
-denser orthant-by-orthant search (with SLSQP polish) as an oracle on tiny
-problems.
+and reports the smallest observed value of
+||X h + sqrt(n) f||_2 / (sqrt(n) (||h||_2 + ||f||_2)).  The directions come
+from one random stream in fixed batches of 1000, and each batch is scaled
+into the cone and evaluated in one in-place pass over preallocated buffers.
+The ratio is invariant to a joint scaling of (h, f), so it is computed
+without normalizing the directions.  Sampling can only over-estimate the
+true cone minimum.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -157,160 +158,95 @@ def primal_dual_witness(instance: ProblemInstance, T, S, lam_b: float,
     )
 
 
-def _cone_ratio(X, h, f):
-    """||X h + sqrt(n) f||_2 / sqrt(n) for unit-normalized (h, f) batches."""
-    n = X.shape[0]
-    v = X @ h + math.sqrt(n) * f
-    return np.linalg.norm(v, axis=0) / math.sqrt(n)
+def _index_set(name: str, idx, size: int) -> np.ndarray:
+    """Sorted distinct indexes into range(size); InputError otherwise."""
+    idx = np.unique(np.asarray(idx, dtype=np.intp))
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
+        raise InputError(f"{name} indexes must lie in [0, {size})")
+    return idx
 
 
 def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
                          seed=0, restrict: str | None = None) -> ReEstimate:
     """Monte-Carlo lower-curvature estimate over the restricted cone.
 
+    All draws come from one stream, stream(seed, 101), in batches of 1000
+    directions: h, then f, then the slack, a full batch each time, with the
+    last batch truncated to num_samples.  The sample set for a larger
+    num_samples is therefore a superset of any smaller one, and the minimum
+    can only fall as num_samples grows.  Each batch is one in-place pass over
+    buffers allocated once per call: the off-support rows are scaled into
+    the cone, and the ratio ||X h + sqrt(n) f||_2 / (sqrt(n) (||h||_2 +
+    ||f||_2)), which is invariant to a joint scaling of (h, f), is computed
+    without normalizing the directions first.
+
     restrict="f_zero" confines sampling to f = 0 (cone on h alone);
     "h_zero" confines it to h = 0.  The returned kappa_hat is the minimum
     sampled ratio, an optimistic (upper) estimate of the true cone infimum.
     """
-    if lambda_ratio <= 0:
-        raise InputError("lambda_ratio must be > 0")
+    lam = float(lambda_ratio)
+    if not (math.isfinite(lam) and lam > 0):
+        raise InputError("lambda_ratio must be finite and > 0")
     if num_samples < 1:
         raise InputError("num_samples must be >= 1")
     if restrict not in (None, "f_zero", "h_zero"):
         raise InputError(f"unknown restriction {restrict!r}")
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
-    T = np.asarray(T, dtype=np.intp)
-    S = np.asarray(S, dtype=np.intp)
-    lam = float(lambda_ratio)
+    T = _index_set("T", T, p)
+    S = _index_set("S", S, n)
+    rn = math.sqrt(n)
     rng = stream(seed, 101)
 
-    best = math.inf
-    # fixed batch size, truncating the last batch: the sample set for a
-    # larger num_samples is then a superset of any smaller one (nested-set
-    # monotonicity of the minimum)
     batch = 1000
-    done = 0
-    while done < num_samples:
+    h = np.empty((p, batch))
+    f = np.empty((n, batch))
+    v = np.empty((n, batch))      # |f| off S, then X h + sqrt(n) f
+    abs_h = np.empty((p, batch))
+    slack = np.empty(batch)
+    best = math.inf
+    for done in range(0, num_samples, batch):
         m = min(batch, num_samples - done)
-        h = rng.standard_normal((p, batch))[:, :m]
-        f = rng.standard_normal((n, batch))[:, :m]
+        rng.standard_normal(out=h)
+        rng.standard_normal(out=f)
+        rng.random(out=slack)     # the same doubles as uniform(0, 1)
         if restrict == "f_zero":
-            f[:] = 0.0
+            f.fill(0.0)
         if restrict == "h_zero":
-            h[:] = 0.0
-        on_mask_h = np.zeros(p, dtype=bool)
-        on_mask_h[T] = True
-        on_mask_s = np.zeros(n, dtype=bool)
-        on_mask_s[S] = True
+            h.fill(0.0)
 
-        on_l1 = (np.abs(h[on_mask_h]).sum(axis=0)
-                 + lam * np.abs(f[on_mask_s]).sum(axis=0))
-        off_l1 = (np.abs(h[~on_mask_h]).sum(axis=0)
-                  + lam * np.abs(f[~on_mask_s]).sum(axis=0))
-        slack = rng.uniform(0.0, 1.0, size=batch)[:m]
+        # scale the off-support rows by slack * 3 * on_l1 / off_l1; the
+        # support rows are saved and put back, so they stay exact
+        h_T, f_S = h[T], f[S]
+        on_l1 = np.abs(h_T).sum(axis=0) + lam * np.abs(f_S).sum(axis=0)
+        np.abs(h, out=abs_h)
+        abs_h[T] = 0.0
+        np.abs(f, out=v)
+        v[S] = 0.0
+        off_l1 = abs_h.sum(axis=0) + lam * v.sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(off_l1 > 0, slack * 3.0 * on_l1 / off_l1, 0.0)
-        h[~on_mask_h] *= scale
-        f[~on_mask_s] *= scale
+        h *= scale
+        h[T] = h_T
+        f *= scale
+        f[S] = f_S
 
-        norm = np.linalg.norm(h, axis=0) + np.linalg.norm(f, axis=0)
-        ok = norm > 0
-        if not np.any(ok):
-            done += m
-            continue
-        h = h[:, ok] / norm[ok]
-        f = f[:, ok] / norm[ok]
-        ratios = _cone_ratio(X, h, f)
-        best = min(best, float(np.min(ratios)))
-        done += m
+        norm = (np.sqrt(np.einsum("ij,ij->j", h, h))
+                + np.sqrt(np.einsum("ij,ij->j", f, f)))
+        np.matmul(X, h, out=v)
+        f *= rn
+        v += f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.sqrt(np.einsum("ij,ij->j", v, v)) / (rn * norm)
+        ok = norm[:m] > 0
+        if np.any(ok):
+            best = min(best, float(np.min(ratios[:m][ok])))
 
     spec = {"lambda_ratio": lam, "restrict": restrict or "none",
-            "seed": seed if isinstance(seed, int) else list(seed)}
+            "seed": (int(seed) if isinstance(seed, (int, np.integer))
+                     else [int(s) for s in seed])}
     return ReEstimate(kappa_hat=best, num_samples=num_samples,
                       sampling_spec=spec)
-
-
-def brute_force_re_min(X, T, S, lambda_ratio: float, seed=0,
-                       grid_per_orthant: int = 48,
-                       polish_top: int = 40) -> float:
-    """Dense orthant-wise grid search plus SLSQP polish for the cone minimum.
-
-    Only sensible on tiny problems (p + n around a dozen): every closed sign
-    orthant of (h, f) is searched, so zero patterns are covered as orthant
-    boundaries.  Serves as the independent oracle for the sampler.
-    """
-    from scipy.optimize import minimize  # slow to import; only used here
-
-    X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
-    d = p + n
-    if d > 16:
-        raise InputError("brute-force search is limited to p + n <= 16")
-    T = np.asarray(T, dtype=np.intp)
-    S = np.asarray(S, dtype=np.intp)
-    lam = float(lambda_ratio)
-
-    on_mask = np.zeros(d, dtype=bool)
-    on_mask[T] = True
-    on_mask[p + S] = True
-    # cone written as c_off . m_off <= 3 c_on . m_on over magnitudes m
-    weights = np.concatenate([np.ones(p), lam * np.ones(n)])
-    rng = stream(seed, 202)
-
-    def ratio_of(v):
-        h, f = v[:p], v[p:]
-        denom = np.linalg.norm(h) + np.linalg.norm(f)
-        if denom == 0:
-            return math.inf
-        return float(np.linalg.norm(X @ h + math.sqrt(n) * f)
-                     / (math.sqrt(n) * denom))
-
-    candidates = []
-    for signs_tail in itertools.product((-1.0, 1.0), repeat=d - 1):
-        sigma = np.array((1.0,) + signs_tail)  # global flip symmetry
-        mags = rng.uniform(0.0, 1.0, size=(grid_per_orthant, d))
-        slack = rng.uniform(0.0, 1.0, size=grid_per_orthant)
-        slack[0] = 1.0  # include the cone boundary deterministically
-        on_l1 = mags[:, on_mask] @ weights[on_mask]
-        off_l1 = mags[:, ~on_mask] @ weights[~on_mask]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sc = np.where(off_l1 > 0, slack * 3.0 * on_l1 / off_l1, 0.0)
-        mags[:, ~on_mask] *= sc[:, None]
-        pts = mags * sigma
-        hn = np.linalg.norm(pts[:, :p], axis=1) + np.linalg.norm(pts[:, p:], axis=1)
-        keep = hn > 0
-        pts = pts[keep] / hn[keep, None]
-        rt = _cone_ratio(X, pts[:, :p].T, pts[:, p:].T)
-        i = int(np.argmin(rt))
-        candidates.append((float(rt[i]), pts[i] * 1.0, sigma))
-
-    candidates.sort(key=lambda c: c[0])
-    best = candidates[0][0]
-
-    for rt0, pt, sigma in candidates[:polish_top]:
-        m0 = np.abs(pt)
-
-        def objective(m, sigma=sigma):
-            return ratio_of(sigma * m)
-
-        cons = [
-            {"type": "ineq",
-             "fun": lambda m: 3.0 * (weights[on_mask] @ m[on_mask])
-                              - (weights[~on_mask] @ m[~on_mask])},
-            {"type": "ineq",
-             "fun": lambda m: np.linalg.norm(m[:p]) + np.linalg.norm(m[p:]) - 0.5},
-        ]
-        res = minimize(objective, m0, method="SLSQP",
-                       bounds=[(0.0, None)] * d, constraints=cons,
-                       options={"maxiter": 200, "ftol": 1e-12})
-        if res.success or res.fun < best:
-            m = np.maximum(res.x, 0.0)
-            on_l1 = weights[on_mask] @ m[on_mask]
-            off_l1 = weights[~on_mask] @ m[~on_mask]
-            if off_l1 <= 3.0 * on_l1 + 1e-9 and (m[:p].any() or m[p:].any()):
-                best = min(best, ratio_of(sigma * m))
-    return best
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,6 @@ class SolverConfig:
             raise InputError("tolerances must be > 0")
 
 
-def soft_threshold(x, t):
-    """Soft-thresholding; values exactly at the kink resolve to 0."""
-    mag = np.abs(x) - t
-    return np.where(mag > 0, np.sign(x) * mag, 0.0 * x)
-
-
 def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
     """The scaled duals (X'r / (n lam_b), r / (sqrt(n) lam_e)) at (beta, e),
     in the dtype of beta, and the largest violations of the optimality

@@ -19,6 +19,7 @@ import pytest
 import extlasso as xl
 from extlasso.experiments import SweepConfig, run_sweep, solve_cell_trial, emit_curves
 from extlasso.rng import stream
+from oracles import brute_force_re_min
 
 P = 128
 K = 8
@@ -348,7 +349,7 @@ class TestCriterion9:
             X = stream(109, n, p).standard_normal((n, p))
             T = np.arange(k)
             S = np.arange(s)
-            brute = xl.brute_force_re_min(X, T, S, lam, seed=110)
+            brute = brute_force_re_min(X, T, S, lam, seed=110)
             samp = xl.extended_re_estimate(X, T, S, lam, 5000,
                                            seed=111).kappa_hat
             gap = brute - samp

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import extlasso as xl
 from extlasso.rng import stream
+from oracles import brute_force_re_min, reference_re_estimate
 
 
 class TestKktCheck:
@@ -172,7 +174,7 @@ class TestReEstimate:
             X = stream(60, n, p).standard_normal((n, p))
             T = np.arange(k)
             S = np.arange(s)
-            brute = xl.brute_force_re_min(X, T, S, lam, seed=61,
+            brute = brute_force_re_min(X, T, S, lam, seed=61,
                                           grid_per_orthant=24, polish_top=20)
             samp = xl.extended_re_estimate(X, T, S, lam, 3000,
                                            seed=62).kappa_hat
@@ -182,7 +184,95 @@ class TestReEstimate:
     def test_brute_force_size_guard(self):
         X = np.zeros((10, 10))
         with pytest.raises(xl.InputError):
-            xl.brute_force_re_min(X, [0], [0], 1.0)
+            brute_force_re_min(X, [0], [0], 1.0)
+
+    def test_numpy_integer_seed(self):
+        X = stream(63, 0).standard_normal((20, 6))
+        est = xl.extended_re_estimate(X, [0], [1, 2], 1.0, 300,
+                                      seed=np.int64(3))
+        ref = xl.extended_re_estimate(X, [0], [1, 2], 1.0, 300, seed=3)
+        assert est.kappa_hat == ref.kappa_hat
+        assert est.sampling_spec["seed"] == 3
+        assert type(est.sampling_spec["seed"]) is int
+
+    @pytest.mark.parametrize("T, S", [([-1], [0]), ([0], [-1]),
+                                      ([6], [0]), ([0], [20])])
+    def test_index_outside_range_rejected(self, T, S):
+        # a negative index used to wrap around (T=[-1] acted as T=[p-1]),
+        # and one past the end raised a bare IndexError
+        X = stream(64, 0).standard_normal((20, 6))
+        with pytest.raises(xl.InputError):
+            xl.extended_re_estimate(X, T, S, 1.0, 100)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_lambda_ratio_must_be_finite_positive(self, lam):
+        X = stream(65, 0).standard_normal((20, 6))
+        with pytest.raises(xl.InputError):
+            xl.extended_re_estimate(X, [0], [0], lam, 100)
+
+
+def _cone_instance(n, p, seed, data):
+    """A Gaussian design and supports T, S of any size from empty to full,
+    in arbitrary order."""
+    X = stream(seed, n, p).standard_normal((n, p))
+    k = data.draw(st.integers(0, p), label="k")
+    s = data.draw(st.integers(0, n), label="s")
+    T = data.draw(st.permutations(range(p)), label="T")[:k]
+    S = data.draw(st.permutations(range(n)), label="S")[:s]
+    return X, T, S
+
+
+class TestReEstimateProperties:
+    """The sampler against the earlier mask-based sampler, kept verbatim in
+    tests/oracles.py: same stream, same draws, so the same kappa_hat up to
+    rounding, and the same infinities."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 80), p=st.integers(1, 40),
+           restrict=st.sampled_from([None, "f_zero", "h_zero"]),
+           num_samples=st.integers(1, 2500), lam=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, data, n, p, restrict, num_samples, lam,
+                               seed):
+        X, T, S = _cone_instance(n, p, seed, data)
+        self.assert_matches(X, T, S, lam, num_samples, (seed, 7), restrict)
+
+    @pytest.mark.parametrize("restrict", [None, "f_zero", "h_zero"])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_matches_reference_at_extreme_supports(self, restrict, full):
+        # p > n; with full supports the cone is the whole space, with empty
+        # ones only the zero direction is left and kappa_hat is inf
+        n, p = 3, 40
+        X = stream(66, n, p).standard_normal((n, p))
+        T, S = (range(p), range(n)) if full else ([], [])
+        self.assert_matches(X, list(T), list(S), 10.0, 2500, 67, restrict)
+
+    @staticmethod
+    def assert_matches(X, T, S, lam, num_samples, seed, restrict):
+        got = xl.extended_re_estimate(X, T, S, lam, num_samples, seed=seed,
+                                      restrict=restrict)
+        ref = reference_re_estimate(X, T, S, lam, num_samples, seed=seed,
+                                    restrict=restrict)
+        if math.isinf(ref.kappa_hat):
+            assert got.kappa_hat == ref.kappa_hat
+        else:
+            assert got.kappa_hat == pytest.approx(ref.kappa_hat, rel=1e-12,
+                                                  abs=0.0)
+        assert got.sampling_spec == ref.sampling_spec
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 40), p=st.integers(1, 20),
+           restrict=st.sampled_from([None, "f_zero", "h_zero"]),
+           counts=st.lists(st.integers(1, 2500), min_size=2, max_size=3,
+                           unique=True),
+           lam=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_nested_sample_monotonicity(self, data, n, p, restrict, counts,
+                                        lam, seed):
+        X, T, S = _cone_instance(n, p, seed, data)
+        vals = [xl.extended_re_estimate(X, T, S, lam, m, seed=seed,
+                                        restrict=restrict).kappa_hat
+                for m in sorted(counts)]
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 class TestRecoveryMetrics:

@@ -9,6 +9,7 @@ import extlasso as xl
 from extlasso import solver
 from extlasso.model import GroundTruth, ProblemInstance
 from extlasso.solver import SolverConfig
+from oracles import soft_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +114,8 @@ def fista(X, y, lam_b, lam_e, tol, iters=50_000):
     converged = False
     for it in range(1, iters + 1):
         r = y - X @ vb - rn * ve
-        beta_new = xl.soft_threshold(vb + step * (X.T @ r) / n, step * lam_b)
-        e_new = xl.soft_threshold(ve + step * r / rn, step * lam_e)
+        beta_new = soft_threshold(vb + step * (X.T @ r) / n, step * lam_b)
+        e_new = soft_threshold(ve + step * r / rn, step * lam_e)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
         vb = beta_new + mom * (beta_new - beta)

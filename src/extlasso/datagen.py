@@ -109,9 +109,6 @@ class SparsityRegime:
         return min(max(_round_half_up(raw), 1), p)
 
 
-REGIMES = ("sublinear", "linear", "fractional")
-
-
 def gen_design(n: int, p: int, spec: CovarianceSpec | None = None, seed=0) -> np.ndarray:
     """n-by-p matrix with rows i.i.d. N(0, Sigma), via the Cholesky factor."""
     if n < 1 or p < 1:

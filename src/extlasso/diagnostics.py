@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEFAULT_ZERO_TOL, InputError, ProblemInstance, Solution,
-                    extract_signed_support)
+                    extract_signed_support, index_array)
 from .rng import stream
 from .solver import _scaled_duals, restricted_solution
 
@@ -115,14 +115,14 @@ def primal_dual_witness(instance: ProblemInstance, T, S, lam_b: float,
     if instance.truth is None:
         raise InputError("witness construction requires the instance truth")
     truth = instance.truth
-    T = np.asarray(T, dtype=np.intp)
-    S = np.asarray(S, dtype=np.intp)
+    T = index_array("T", T, instance.p)
+    S = index_array("S", S, instance.n)
     sign_b = np.sign(truth.beta_star[T])
     sign_e = np.sign(truth.e_star[S])
 
-    # Step 1: restricted candidate in closed form, truth signs assumed.
-    _, _, beta_hat, e_hat = restricted_solution(
-        instance, T, S, lam_b, lam_e, sign_beta=sign_b, sign_e=sign_e)
+    # Step 1: restricted candidate in closed form, anchored at the truth,
+    # so the truth's signs on (T, S) are assumed.
+    _, _, beta_hat, e_hat = restricted_solution(instance, T, S, lam_b, lam_e)
 
     # Step 2 assigns on-support duals = assumed signs; they enter the
     # closed form already, so only steps 3-4 remain to verify.
@@ -158,14 +158,6 @@ def primal_dual_witness(instance: ProblemInstance, T, S, lam_b: float,
     )
 
 
-def _index_set(name: str, idx, size: int) -> np.ndarray:
-    """Sorted distinct indexes into range(size); InputError otherwise."""
-    idx = np.unique(np.asarray(idx, dtype=np.intp))
-    if idx.size and (idx[0] < 0 or idx[-1] >= size):
-        raise InputError(f"{name} indexes must lie in [0, {size})")
-    return idx
-
-
 def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
                          seed=0, restrict: str | None = None) -> ReEstimate:
     """Monte-Carlo lower-curvature estimate over the restricted cone.
@@ -193,8 +185,8 @@ def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
         raise InputError(f"unknown restriction {restrict!r}")
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
-    T = _index_set("T", T, p)
-    S = _index_set("S", S, n)
+    T = np.unique(index_array("T", T, p))
+    S = np.unique(index_array("S", S, n))
     rn = math.sqrt(n)
     rng = stream(seed, 101)
 

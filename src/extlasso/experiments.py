@@ -14,7 +14,7 @@ order, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -292,29 +292,25 @@ class ErrorScalingResult:
 def error_scaling_sweep(p: int = 100, k: int = 5, s: int = 40,
                         sigma: float = 0.5,
                         n_grid: tuple = (400, 800, 1600, 3200),
-                        trials: int = 20, master_seed: int = 7,
-                        solver: SolverConfig | None = None,
-                        lambda_floor: float = 1e-8) -> ErrorScalingResult:
+                        trials: int = 20,
+                        master_seed: int = 7) -> ErrorScalingResult:
     """Mean parameter error versus n at fixed (p, k, s), with the explicit
-    Gaussian-design lambdas; fits the log-log slope.
+    Gaussian-design lambdas (floored at sigma = 0 as in a sweep); fits the
+    log-log slope.
 
     The corruption count s is held fixed: with s proportional to n the
     corruption term of the error scales like sqrt(s/n * ln n), which does
     not decay, and no 1/sqrt(n) rate exists to measure.
     """
-    solver = solver or SolverConfig()
+    family = SweepConfig(sigma=sigma, lambda_family="gaussian_design")
     rows = []
     for ci, n in enumerate(n_grid):
-        pair = lambdas_gaussian_design(sigma, n, p)
-        if pair.degenerate:
-            pair = LambdaPair(lambda_floor,
-                              lambda_floor * lambdas_gaussian_design(1.0, n, p).ratio)
+        pair = _family_lambdas(family, n, p, s)
         total = 0.0
         for t in range(trials):
             inst = gen_instance(n, p, k=k, s=s, sigma=sigma,
                                 seed=(master_seed, 90_000 + ci, t))
-            sol = solve_extended_lasso(inst, pair.lambda_beta, pair.lambda_e,
-                                       solver)
+            sol = solve_extended_lasso(inst, pair.lambda_beta, pair.lambda_e)
             total += recovery_metrics(inst, sol).l2_total
         rows.append((n, total / trials))
     if len(rows) >= 2:
@@ -479,7 +475,15 @@ def sweep_result_from_dict(d: dict) -> SweepResult:
     return SweepResult(schema=d["schema"], config=d["config"], cells=cells)
 
 
+def _unknown_keys(where: str, d: dict, cls) -> None:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InputError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def sweep_config_from_dict(d: dict) -> SweepConfig:
+    """A SweepConfig from its JSON form; InputError names any unknown key."""
+    _unknown_keys("sweep config", d, SweepConfig)
     d = dict(d)
     solver = d.pop("solver", None)
     kwargs = {}
@@ -488,5 +492,6 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
             kwargs[key] = tuple(d.pop(key))
     kwargs.update(d)
     if solver:
+        _unknown_keys("solver", solver, SolverConfig)
         kwargs["solver"] = SolverConfig(**solver)
     return SweepConfig(**kwargs)

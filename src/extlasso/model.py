@@ -48,6 +48,15 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise InputError(f"{name} contains non-finite entries")
 
 
+def index_array(name: str, idx, size: int) -> np.ndarray:
+    """idx as an index array in the caller's order; InputError unless every
+    entry lies in [0, size), so that -1 cannot wrap around."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise InputError(f"{name} indexes must lie in [0, {size})")
+    return idx
+
+
 def _as_vector(name: str, x, length: int | None = None, dtype=np.float64) -> np.ndarray:
     v = np.asarray(x, dtype=dtype)
     if v.ndim != 1:
@@ -208,10 +217,6 @@ class SignedSupport:
     def support_size(self) -> int:
         return int(np.count_nonzero(self.signs))
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.signs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedSupport):
             return NotImplemented
@@ -230,6 +235,15 @@ def extract_signed_support(x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignedSuppo
     return SignedSupport(signs=signs, zero_tol=zero_tol)
 
 
+def residual_objective(r, beta, e, lambda_beta: float,
+                       lambda_e: float) -> float:
+    """The objective from its residual r = y - X beta - sqrt(n) e, as a float:
+    (1/2n)||r||^2 + lambda_beta ||beta||_1 + lambda_e ||e||_1."""
+    return 0.5 / r.shape[0] * float(r @ r) \
+        + lambda_beta * float(np.abs(beta).sum()) \
+        + lambda_e * float(np.abs(e).sum())
+
+
 def objective_value(instance: ProblemInstance, beta, e,
                     lambda_beta: float, lambda_e: float) -> float:
     """(1/2n)||y - X beta - sqrt(n) e||^2 + lambda_beta ||beta||_1 + lambda_e ||e||_1."""
@@ -241,9 +255,8 @@ def objective_value(instance: ProblemInstance, beta, e,
     ev = _as_vector("e", e, n, dtype=dtype)
     X = instance.X.astype(dtype, copy=False)
     y = instance.y.astype(dtype, copy=False)
-    r = y - X @ b - np.sqrt(dtype.type(n)) * ev
-    val = 0.5 / n * float(r @ r) + lambda_beta * float(np.abs(b).sum()) \
-        + lambda_e * float(np.abs(ev).sum())
+    val = residual_objective(y - X @ b - np.sqrt(dtype.type(n)) * ev, b, ev,
+                             lambda_beta, lambda_e)
     if not np.isfinite(val):
         raise NumericError("objective is non-finite")
     return val

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InputError, ProblemInstance, SingularMatrixError
+from .model import (InputError, ProblemInstance, SingularMatrixError,
+                    index_array)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def covariance_report(sigma: np.ndarray, T) -> CovarianceReport:
     """Compute the CovarianceReport of Sigma for support T (0-based indices)."""
     sigma = np.asarray(sigma, dtype=np.float64)
     p = sigma.shape[0]
-    T = np.asarray(T, dtype=np.intp)
+    T = index_array("T", T, p)
     if len(T) == 0 or len(T) >= p:
         raise InputError("need a nonempty support T with nonempty complement")
     mask = np.ones(p, dtype=bool)

@@ -14,18 +14,19 @@ W is formed when a level starts and refreshed from the scaled duals of the
 in-loop KKT check, which still covers all p coordinates, so when a level
 stops and what it certifies do not depend on W.
 
-Regularization is driven down a geometric lambda path by default (largest
-lambda first, warm starts): a cold start at very small lambda_e lets the
-corruption block absorb the entire residual and stalls the alternation,
-while warm-started supports contract at a linear rate.  The path runs in
-float64 to a loose 1e-6, enough to find the signed supports (T, S).  The
-exact finish then solves the restricted program on them and accepts the
-point only if every sign is kept and the full KKT residual at the target
-lambdas is at most tol_kkt.  It runs in float64 first, and in extended
-precision (float80 on x86) only when float64 cannot certify: one ulp of a
-unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  If neither
-certifies, coordinate descent resumes at the target lambdas and the finish
-is retried a bounded number of times before converged=False is returned.
+Every solve starts from zero and drives regularization down a geometric
+lambda path (largest lambda first, warm starts): a cold start at very small
+lambda_e lets the corruption block absorb the entire residual and stalls
+the alternation, while warm-started supports contract at a linear rate.
+The path runs in float64 to a loose 1e-6, enough to find the signed
+supports (T, S).  The exact finish then solves the restricted program on
+them and accepts the point only if every sign is kept and the full KKT
+residual at the target lambdas is at most tol_kkt.  It runs in float64
+first, and in extended precision (float80 on x86) only when float64 cannot
+certify: one ulp of a unit-scale coordinate moves the scaled dual by
+~2e-16/lambda.  If neither certifies, coordinate descent resumes at the
+target lambdas and the finish is retried a bounded number of times before
+converged=False is returned.
 """
 from __future__ import annotations
 
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (InputError, NumericError, ProblemInstance,
-                    SingularMatrixError, Solution, objective_value)
+                    SingularMatrixError, Solution, index_array,
+                    objective_value, residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -43,35 +45,32 @@ _LEVEL_SWEEPS = 1000  # sweep cap of an intermediate path level
 _RESIDUAL_REFRESH = 64  # sweeps between from-scratch residual recomputations
 _KKT_REFRESH = 4  # sweeps between in-loop KKT residual checks
 _STALL_LIMIT = 50
+_TOL_OBJ = 1e-12  # a sweep that lowers the objective by less stalls
 _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.1%
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
 _FINISH_RETRIES = 3  # coordinate-descent resumes before a solve gives up
 _ROWS = 1024  # rows of X converted to extended precision at a time
+_PATH_STEPS_PER_DECADE = 3
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and path knobs.
+    """Termination settings.
 
-    tol_kkt is the target stationarity residual (scaled dual units):
-    max over coordinates of |z_i - sgn x_i| on the support and of
-    max(|z_i| - 1, 0) off it.  tol_obj is a stall guard on the relative
-    per-sweep objective decrease; it only fires when the residual has also
-    stopped improving.
+    max_iters caps the sweeps of a whole solve.  tol_kkt is the target
+    stationarity residual (scaled dual units): max over coordinates of
+    |z_i - sgn x_i| on the support and of max(|z_i| - 1, 0) off it.
     """
 
     max_iters: int = 50_000
     tol_kkt: float = 1e-9
-    tol_obj: float = 1e-12
-    use_path: bool = True
-    path_steps_per_decade: int = 3
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if self.tol_kkt <= 0 or self.tol_obj <= 0:
-            raise InputError("tolerances must be > 0")
+        if self.tol_kkt <= 0:
+            raise InputError("tol_kkt must be > 0")
 
 
 def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
@@ -136,7 +135,7 @@ def _working_set(beta, z_b):
     return np.flatnonzero((beta != 0) | (np.abs(z_b) >= 1.0)).tolist()
 
 
-def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
+def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
     """Alternating beta-sweep / e-step loop in float64.
 
     Each beta sweep runs cyclic coordinate descent over the working set
@@ -146,7 +145,9 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
 
     Stops when the KKT residual over all p coordinates, checked every
     _KKT_REFRESH sweeps and on the last, is at most tol, when progress
-    stalls, or after max_sweeps.  Returns (beta, e, sweeps).
+    stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
+    nor the objective by a relative _TOL_OBJ), or after max_sweeps.
+    Returns (beta, e, sweeps).
     """
     n = X.shape[0]
     rn = math.sqrt(n)
@@ -159,12 +160,8 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
     # block).
     guard_scale = _KINK_GUARD_ULPS * float(np.finfo(np.float64).eps) / rn
 
-    def objective(rv):
-        return float(0.5 / n * (rv @ rv)
-                     + lam_b * np.abs(beta).sum() + lam_e * np.abs(e).sum())
-
     W = _working_set(beta, X.T @ r / nlam_b)
-    prev_obj = objective(r)
+    prev_obj = residual_objective(r, beta, e, lam_b, lam_e)
     best_kkt = math.inf
     stall = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -194,7 +191,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
         if sweeps % _RESIDUAL_REFRESH == 0:
             r = y - X @ beta - rn * e
 
-        obj = objective(r)
+        obj = residual_objective(r, beta, e, lam_b, lam_e)
         if not math.isfinite(obj):
             raise NumericError("non-finite objective during solve")
         if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
@@ -214,7 +211,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
                 best_kkt = kkt
                 stall = 0
                 improved = True
-        if not improved and prev_obj - obj <= tol_obj * max(1.0, abs(obj)):
+        if not improved and prev_obj - obj <= _TOL_OBJ * max(1.0, abs(obj)):
             stall += 1
             if stall >= _STALL_LIMIT:
                 break
@@ -222,12 +219,13 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, tol_obj, col_sq, abs_y):
     return beta, e, sweeps
 
 
-def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e, per_decade):
-    """Geometric schedule from (lmax) down to the target lambdas."""
+def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
+    """Geometric schedule from (lmax) down to the target lambdas, ending at
+    the target pair."""
     span_b = max(lmax_b / lam_b, 1.0)
     span_e = max(lmax_e / lam_e, 1.0)
     decades = max(math.log10(span_b), math.log10(span_e))
-    steps = max(int(math.ceil(decades * per_decade)), 1)
+    steps = max(int(math.ceil(decades * _PATH_STEPS_PER_DECADE)), 1)
     return [(lam_b * span_b ** (1.0 - t / steps), lam_e * span_e ** (1.0 - t / steps))
             for t in range(1, steps + 1)]
 
@@ -246,8 +244,8 @@ def _exact_finish(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y):
     for dt in (np.float64, np.longdouble):
         try:
             _, _, b, ee = restricted_solution(
-                instance, T, S, lam_b, lam_e, np.sign(beta[T]), np.sign(e[S]),
-                anchor_beta=beta, anchor_e=e, dtype=dt)
+                instance, T, S, lam_b, lam_e, anchor_beta=beta, anchor_e=e,
+                dtype=dt)
         except SingularMatrixError:
             return None
         if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
@@ -261,10 +259,9 @@ def _exact_finish(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y):
 
 
 def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
-                         config: SolverConfig | None = None, *,
-                         beta0=None, e0=None) -> Solution:
-    """Solve the joint program; returns a Solution (converged flag, no raise
-    on non-convergence)."""
+                         config: SolverConfig | None = None) -> Solution:
+    """Solve the joint program from zero down the lambda path; returns a
+    Solution (converged flag, no raise on non-convergence)."""
     cfg = config or SolverConfig()
     if lam_b <= 0 or lam_e <= 0:
         raise InputError("lam_b and lam_e must be > 0")
@@ -274,15 +271,12 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     n, p = X.shape
     col_sq = np.einsum("ij,ij->j", X, X)
     abs_y = np.abs(y)
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
-    e = np.zeros(n) if e0 is None else np.array(e0, dtype=np.float64)
+    beta = np.zeros(p)
+    e = np.zeros(n)
 
     lmax_b = float(np.max(np.abs(X.T @ y))) / n
     lmax_e = float(np.max(abs_y)) / math.sqrt(n)
-    levels = [(lam_b, lam_e)]
-    if cfg.use_path:
-        levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e,
-                                cfg.path_steps_per_decade)
+    levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e)
 
     # the path runs to path_tol; at the target lambdas the exact finish is
     # tried, and on failure coordinate descent resumes there to tol_kkt
@@ -297,8 +291,8 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
         if max_sweeps < 1:
             break
         tol = path_tol if i < len(levels) else cfg.tol_kkt
-        beta, e, it = _bcd(X, y, lb, le, beta, e, tol, max_sweeps, cfg.tol_obj,
-                           col_sq, abs_y)
+        beta, e, it = _bcd(X, y, lb, le, beta, e, tol, max_sweeps, col_sq,
+                           abs_y)
         total += it
         budget -= it
         if final:
@@ -316,28 +310,25 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
                     kkt_residual=float(kkt))
 
 
-def solve_standard_lasso(X, y, lam: float, config: SolverConfig | None = None,
-                         beta0=None) -> np.ndarray:
-    """Cyclic coordinate descent for (1/2n)||y - X beta||^2 + lam ||beta||_1.
+def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
+    """Cyclic coordinate descent for (1/2n)||y - X beta||^2 + lam ||beta||_1,
+    from zero to the default SolverConfig's tolerance and sweep cap.
 
     Runs the joint kernel with lambda_e so large that e stays zero: no
     iterate's objective exceeds the start's, which bounds ||beta||_1 and so
     every residual entry below sqrt(n) lambda_e / 2.
     """
-    cfg = config or SolverConfig()
+    cfg = SolverConfig()
     if lam <= 0:
         raise InputError("lam must be > 0")
     X = np.asfortranarray(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
-    r = y - X @ beta
-    l1_bound = (r @ r / (2 * n) + lam * np.abs(beta).sum()) / lam
+    l1_bound = (y @ y / (2 * n)) / lam
     abs_y = np.abs(y)
     lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
-    return _bcd(X, y, lam, float(lam_e), beta, np.zeros(n), cfg.tol_kkt,
-                cfg.max_iters, cfg.tol_obj, np.einsum("ij,ij->j", X, X),
-                abs_y)[0]
+    return _bcd(X, y, lam, float(lam_e), np.zeros(p), np.zeros(n), cfg.tol_kkt,
+                cfg.max_iters, np.einsum("ij,ij->j", X, X), abs_y)[0]
 
 
 def _solve_linear(G, rhs):
@@ -358,32 +349,33 @@ def _solve_linear(G, rhs):
 
 
 def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
-                        lam_e: float, sign_beta=None, sign_e=None, *,
-                        anchor_beta=None, anchor_e=None, dtype=np.float64):
-    """Candidate stationary point restricted to supports (T, S).
+                        lam_e: float, *, anchor_beta=None, anchor_e=None,
+                        dtype=np.float64):
+    """Candidate stationary point restricted to signed supports (T, S).
 
-    Solves the stationarity system with beta fixed to zero off T, e fixed to
-    zero off S, and the on-support dual entries set to the given signs:
+    The anchor (beta~, e~) gives the signs sign_beta = sgn beta~_T and
+    sign_e = sgn e~_S, and the point the correction is measured from; only
+    its entries on T and S are read.  With w = y - X_T beta~_T - sqrt(n) e~_S
+    (e~_S placed on the rows S), this solves the stationarity system with
+    beta fixed to zero off T, e fixed to zero off S, and the on-support dual
+    entries set to those signs:
 
         h_T = (X'_{ScT} X_{ScT})^{-1} [ X'_{ScT} w_{Sc}
               + sqrt(n) lam_e X'_{ST} sign_e - n lam_b sign_beta ]
         g_S = -(X_{ST} h_T)/sqrt(n) + w_S/sqrt(n) - lam_e sign_e
 
-    and returns (h_T, g_S, beta_hat, e_hat) with beta_hat = anchor + h on T
-    (zero off T) and e_hat = anchor + g on S (zero off S).
-
-    Anchors default to the instance truth; without truth, pass anchors
-    (beta~, e~) and the effective noise becomes w = y - X beta~ - sqrt(n) e~.
-    Signs default to the anchor's signs on the supports.  Only the columns
-    of X in T or in the anchor's support are converted to dtype.
+    and returns (h_T, g_S, beta_hat, e_hat) with beta_hat = beta~ + h on T
+    (zero off T) and e_hat = e~ + g on S (zero off S), in the order of T
+    and S.  The anchor defaults to the instance truth.  Only the columns of
+    X in T are converted to dtype.
     """
     if lam_b < 0 or lam_e < 0:
         raise InputError("lam_b and lam_e must be >= 0")
     X = instance.X
     y = instance.y.astype(dtype, copy=False)
     n, p = X.shape
-    T = np.asarray(T, dtype=np.intp)
-    S = np.asarray(S, dtype=np.intp)
+    T = index_array("T", T, p)
+    S = index_array("S", S, n)
     k, s = len(T), len(S)
     if k > n - s:
         raise SingularMatrixError(
@@ -394,19 +386,14 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
             raise InputError("anchors are required when the instance has no truth")
         anchor_beta = instance.truth.beta_star
         anchor_e = instance.truth.e_star
-    anchor_beta = np.asarray(anchor_beta, dtype=dtype)
-    anchor_e = np.asarray(anchor_e, dtype=dtype)
-
-    if sign_beta is None:
-        sign_beta = np.sign(anchor_beta[T])
-    if sign_e is None:
-        sign_e = np.sign(anchor_e[S])
-    sign_beta = np.asarray(sign_beta, dtype=dtype)
-    sign_e = np.asarray(sign_e, dtype=dtype)
+    anchor_T = np.asarray(anchor_beta, dtype=dtype)[T]
+    anchor_S = np.asarray(anchor_e, dtype=dtype)[S]
+    sign_beta = np.sign(anchor_T)
+    sign_e = np.sign(anchor_S)
 
     rn = np.sqrt(dtype(n))
-    nz = np.flatnonzero(anchor_beta)
-    w_eff = y - X[:, nz].astype(dtype, copy=False) @ anchor_beta[nz] - rn * anchor_e
+    w_eff = y - X[:, T].astype(dtype, copy=False) @ anchor_T
+    w_eff[S] -= rn * anchor_S
     mask = np.ones(n, dtype=bool)
     mask[S] = False
     Sc = np.flatnonzero(mask)
@@ -428,7 +415,7 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
     g_S = -(XST @ h_T) / rn + w_eff[S] / rn - lam_e * sign_e
 
     beta_hat = np.zeros(p, dtype=dtype)
-    beta_hat[T] = anchor_beta[T] + h_T
+    beta_hat[T] = anchor_T + h_T
     e_hat = np.zeros(n, dtype=dtype)
-    e_hat[S] = anchor_e[S] + g_S
+    e_hat[S] = anchor_S + g_S
     return h_T, g_S, beta_hat, e_hat

@@ -129,6 +129,30 @@ class TestWitness:
             agree += (wit.passed == got)
         assert agree >= int(0.95 * trials)
 
+    @pytest.mark.parametrize("T, S", [([-1], [0]), ([0], [-1]),
+                                      ([8], [0]), ([0], [40])])
+    def test_index_outside_range_rejected(self, T, S):
+        inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
+        with pytest.raises(xl.InputError, match="lie in"):
+            xl.primal_dual_witness(inst, T, S, 0.1, 0.1)
+
+    def test_off_truth_supports_ignore_the_truth_outside_them(self):
+        """At (T, S) other than the truth's, the witness candidate is the
+        restricted point anchored at the truth zeroed off (T, S)."""
+        inst = xl.gen_instance(60, 10, k=3, s=6, sigma=0.1, seed=4)
+        t = inst.truth
+        for T, S in ((t.T[:2], t.S), (np.union1d(t.T, [9]), t.S[:3])):
+            a_b = np.zeros(inst.p)
+            a_b[T] = t.beta_star[T]
+            a_e = np.zeros(inst.n)
+            a_e[S] = t.e_star[S]
+            _, _, beta_r, e_r = xl.restricted_solution(
+                inst, T, S, 0.05, 0.03, anchor_beta=a_b, anchor_e=a_e)
+            wit = xl.primal_dual_witness(inst, T, S, 0.05, 0.03)
+            np.testing.assert_allclose(wit.beta_restricted, beta_r[T],
+                                       atol=1e-12)
+            np.testing.assert_allclose(wit.e_restricted, e_r[S], atol=1e-12)
+
     def test_requires_truth(self):
         inst = xl.gen_instance(20, 5, k=2, s=4, sigma=0.1, seed=45)
         bare = xl.ProblemInstance(X=inst.X, y=inst.y)

@@ -71,6 +71,10 @@ class TestCovarianceReport:
             xl.covariance_report(np.eye(3), [])
         with pytest.raises(xl.InputError):
             xl.covariance_report(np.eye(3), [0, 1, 2])
+        # -1 used to wrap around to the last coordinate; 3 raised IndexError
+        for T in ([-1], [3]):
+            with pytest.raises(xl.InputError, match="lie in"):
+                xl.covariance_report(np.eye(3), T)
 
     def test_single_offsupport_coordinate(self):
         rep = xl.covariance_report(np.eye(3), [0, 1])

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 import extlasso as xl
 from extlasso import solver
 from extlasso.model import GroundTruth, ProblemInstance
-from extlasso.solver import SolverConfig
 from oracles import soft_threshold
 
 
@@ -251,13 +250,14 @@ class TestExtendedLasso:
         rep = xl.kkt_check(inst, sol)
         assert rep.stationarity_residual <= 1e-9
 
-    def test_path_independence(self):
+    def test_path_independence(self, monkeypatch):
         inst = xl.gen_instance(50, 10, k=3, s=10, sigma=0.2, seed=23)
         pair = xl.lambdas_simulation(0.2, 50, 10)
-        with_path = xl.solve_extended_lasso(inst, *pair,
-                                            config=SolverConfig(use_path=True))
-        without = xl.solve_extended_lasso(inst, *pair,
-                                          config=SolverConfig(use_path=False))
+        with_path = xl.solve_extended_lasso(inst, *pair)
+        # a cold start: the path is cut down to its last level, the target
+        monkeypatch.setattr(solver, "_lambda_levels",
+                            lambda lmax_b, lmax_e, lb, le: [(lb, le)])
+        without = xl.solve_extended_lasso(inst, *pair)
         assert with_path.objective == pytest.approx(without.objective, rel=1e-9)
         np.testing.assert_allclose(with_path.beta_hat, without.beta_hat,
                                    atol=1e-7)
@@ -398,8 +398,8 @@ class TestWorkingSet:
         T, S = np.flatnonzero(sol.beta_hat), np.flatnonzero(sol.e_hat)
         assert set(T.tolist()) == {0, 1}
         _, _, beta_r, e_r = xl.restricted_solution(
-            inst, T, S, lam_b, lam_e, np.sign(sol.beta_hat[T]),
-            np.sign(sol.e_hat[S]))
+            inst, T, S, lam_b, lam_e, anchor_beta=sol.beta_hat,
+            anchor_e=sol.e_hat)
         np.testing.assert_allclose(sol.beta_hat, beta_r, atol=1e-10)
         np.testing.assert_allclose(sol.e_hat, e_r, atol=1e-10)
 
@@ -464,6 +464,60 @@ class TestRestrictedSolution:
         b = xl.restricted_solution(inst, t.T, t.S, 0.04, 0.02,
                                    anchor_beta=t.beta_star, anchor_e=t.e_star)
         np.testing.assert_allclose(a[2], b[2], atol=1e-14)
+
+    @pytest.mark.parametrize("T, S", [([-1], [0]), ([0], [-1]),
+                                      ([8], [0]), ([0], [40])])
+    def test_index_outside_range_rejected(self, T, S):
+        # -1 used to wrap around to the last column or row, and one past
+        # the end raised a bare IndexError
+        inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
+        with pytest.raises(xl.InputError, match="lie in"):
+            xl.restricted_solution(inst, T, S, 0.1, 0.1)
+
+    def test_outputs_follow_the_callers_order(self):
+        inst = xl.gen_instance(40, 8, k=3, s=4, sigma=0.1, seed=3)
+        t = inst.truth
+        hT, gS, beta_hat, e_hat = xl.restricted_solution(inst, t.T, t.S,
+                                                         0.05, 0.03)
+        hT_r, gS_r, beta_r, e_r = xl.restricted_solution(
+            inst, t.T[::-1], t.S[::-1], 0.05, 0.03)
+        np.testing.assert_allclose(hT_r, hT[::-1], atol=1e-12)
+        np.testing.assert_allclose(gS_r, gS[::-1], atol=1e-12)
+        np.testing.assert_allclose(beta_r, beta_hat, atol=1e-12)
+        np.testing.assert_allclose(e_r, e_hat, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 60), p=st.integers(1, 12), k=st.integers(1, 6),
+           s_frac=st.floats(0.0, 0.5), log_lam=st.floats(-3.0, 0.0),
+           log_ratio=st.floats(-1.0, 1.0), seed=st.integers(0, 10_000))
+    def test_only_the_anchor_on_the_supports_matters(self, n, p, k, s_frac,
+                                                     log_lam, log_ratio, seed):
+        """Two anchors with the same signs on (T, S), any magnitudes there
+        and arbitrary entries elsewhere give the same restricted point."""
+        rng = np.random.default_rng(seed)
+        inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
+                               sigma=0.1, seed=seed)
+        S = np.sort(rng.choice(n, int(rng.integers(0, n // 2 + 1)),
+                               replace=False))
+        k_max = min(p, (n - len(S)) // 2)  # keeps X_{Sc,T} well conditioned
+        T = np.sort(rng.choice(p, int(rng.integers(0, k_max + 1)),
+                               replace=False))
+        signs_b = rng.choice([-1.0, 0.0, 1.0], len(T))
+        signs_e = rng.choice([-1.0, 0.0, 1.0], len(S))
+        anchors = []
+        for _ in range(2):
+            a_b = rng.standard_normal(p) * rng.integers(0, 2, p)
+            a_e = 10.0 * rng.standard_normal(n) * rng.integers(0, 2, n)
+            a_b[T] = signs_b * rng.uniform(0.1, 5.0, len(T))
+            a_e[S] = signs_e * rng.uniform(0.1, 5.0, len(S))
+            anchors.append((a_b, a_e))
+        lam_b = 10.0 ** log_lam
+        lam_e = lam_b * 10.0 ** log_ratio
+        (_, _, b1, e1), (_, _, b2, e2) = (
+            xl.restricted_solution(inst, T, S, lam_b, lam_e, anchor_beta=a_b,
+                                   anchor_e=a_e) for a_b, a_e in anchors)
+        np.testing.assert_allclose(b1, b2, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(e1, e2, rtol=0, atol=1e-10)
 
     def test_oracle_equivalence_on_recovered_supports(self):
         """When the solver's signed supports match truth, it must agree with

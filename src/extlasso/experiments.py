@@ -14,9 +14,10 @@ order, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from multiprocessing import get_context
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,9 +38,9 @@ _DEFAULT_THETA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 31))
 
 @dataclass(frozen=True)
 class SweepConfig:
-    p_list: tuple = (128, 256, 512)
-    regimes: tuple = ("sublinear", "linear", "fractional")
-    theta_grid: tuple = _DEFAULT_THETA_GRID
+    p_list: tuple[int, ...] = (128, 256, 512)
+    regimes: tuple[str, ...] = ("sublinear", "linear", "fractional")
+    theta_grid: tuple[float, ...] = _DEFAULT_THETA_GRID
     trials: int = 100
     sigma: float = 0.1
     s_fraction: float = 0.5          # s = floor(s_fraction * n)
@@ -475,15 +476,39 @@ def sweep_result_from_dict(d: dict) -> SweepResult:
     return SweepResult(schema=d["schema"], config=d["config"], cells=cells)
 
 
-def _unknown_keys(where: str, d: dict, cls) -> None:
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an int for float,
+    a list for tuple[x, ...], an object for a dataclass; never a bool."""
+    if isinstance(value, bool):
+        return False
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0])
+                                               for v in value)
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    allowed = get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed)
+
+
+def _check_keys(where: str, d: dict, cls) -> None:
+    """InputError naming any key of d that cls has no field for, or whose
+    value does not fit the field's type."""
+    hints = get_type_hints(cls)
+    unknown = sorted(set(d) - set(hints))
     if unknown:
         raise InputError(f"unknown {where} keys: {', '.join(unknown)}")
+    for key, value in d.items():
+        if not _has_type(value, hints[key]):
+            raise InputError(f"{where} key {key!r} has the wrong type: "
+                             f"{value!r}")
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
-    """A SweepConfig from its JSON form; InputError names any unknown key."""
-    _unknown_keys("sweep config", d, SweepConfig)
+    """A SweepConfig from its JSON form; InputError names any unknown key
+    and any value of the wrong type."""
+    _check_keys("sweep config", d, SweepConfig)
     d = dict(d)
     solver = d.pop("solver", None)
     kwargs = {}
@@ -492,6 +517,6 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
             kwargs[key] = tuple(d.pop(key))
     kwargs.update(d)
     if solver:
-        _unknown_keys("solver", solver, SolverConfig)
+        _check_keys("solver", solver, SolverConfig)
         kwargs["solver"] = SolverConfig(**solver)
     return SweepConfig(**kwargs)

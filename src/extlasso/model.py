@@ -179,7 +179,7 @@ class Solution:
     lambda_beta: float
     lambda_e: float
     objective: float
-    iterations: int
+    iterations: int  # beta sweeps; restricted solves are not counted
     converged: bool
     kkt_residual: float
 

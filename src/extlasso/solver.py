@@ -19,14 +19,19 @@ lambda path (largest lambda first, warm starts): a cold start at very small
 lambda_e lets the corruption block absorb the entire residual and stalls
 the alternation, while warm-started supports contract at a linear rate.
 The path runs in float64 to a loose 1e-6, enough to find the signed
-supports (T, S).  The exact finish then solves the restricted program on
-them and accepts the point only if every sign is kept and the full KKT
-residual at the target lambdas is at most tol_kkt.  It runs in float64
-first, and in extended precision (float80 on x86) only when float64 cannot
-certify: one ulp of a unit-scale coordinate moves the scaled dual by
-~2e-16/lambda.  If neither certifies, coordinate descent resumes at the
-target lambdas and the finish is retried a bounded number of times before
-converged=False is returned.
+supports (T, S).  Coordinate descent only has to find each level's (T, S):
+once the signs of (beta, e) are the same at two in-loop KKT checks, the
+restricted closed form on them at the level's own lambdas ends the level,
+if it keeps every sign, does not raise the objective and meets the level's
+tolerance (continuation, shrinkage, then a subspace solve, as in FPC_AS,
+Wen, Yin, Goldfarb & Zhang 2010).  The exact finish then solves the
+restricted program on the signed supports at the target lambdas and
+accepts the point only if every sign is kept and the full KKT residual is
+at most tol_kkt.  It runs in float64 first, and in extended precision
+(float80 on x86) only when float64 cannot certify: one ulp of a unit-scale
+coordinate moves the scaled dual by ~2e-16/lambda.  If neither certifies,
+coordinate descent resumes at the target lambdas and the finish is retried
+a bounded number of times before converged=False is returned.
 """
 from __future__ import annotations
 
@@ -135,7 +140,7 @@ def _working_set(beta, z_b):
     return np.flatnonzero((beta != 0) | (np.abs(z_b) >= 1.0)).tolist()
 
 
-def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
+def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
     """Alternating beta-sweep / e-step loop in float64.
 
     Each beta sweep runs cyclic coordinate descent over the working set
@@ -146,9 +151,15 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
     Stops when the KKT residual over all p coordinates, checked every
     _KKT_REFRESH sweeps and on the last, is at most tol, when progress
     stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
-    nor the objective by a relative _TOL_OBJ), or after max_sweeps.
-    Returns (beta, e, sweeps).
+    nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
+    also stops at a level step: when a check above tol finds the same signs
+    of (beta, e) as the check before, _level_step tries the restricted
+    closed form on those signed supports, and the loop ends at that point
+    if it passes.  A sign pattern whose step failed is not tried again in
+    the same call.  Returns (beta, e, sweeps); sweeps counts beta sweeps,
+    not restricted solves.
     """
+    X, y = instance.X, instance.y
     n = X.shape[0]
     rn = math.sqrt(n)
     nlam_b = n * lam_b
@@ -164,6 +175,7 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
     prev_obj = residual_objective(r, beta, e, lam_b, lam_e)
     best_kkt = math.inf
     stall = 0
+    signs, failed = None, set()
     for sweeps in range(1, max_sweeps + 1):
         # beta first: on designs collinear with the corruption block the
         # shared mass then settles on the regression side, matching the
@@ -206,6 +218,14 @@ def _bcd(X, y, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
             kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
             if kkt <= tol:
                 break
+            prev, signs = signs, np.sign(np.concatenate((beta, e))).astype(
+                np.int8).tobytes()
+            if signs == prev and signs not in failed:
+                step = _level_step(instance, beta, e, lam_b, lam_e, tol, obj)
+                if step is not None:
+                    beta, e = step
+                    break
+                failed.add(signs)
             W = _working_set(beta, z_b)
             if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
                 best_kkt = kkt
@@ -230,6 +250,43 @@ def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
             for t in range(1, steps + 1)]
 
 
+def _restricted_step(instance, beta, e, lam_b, lam_e, dtype):
+    """restricted_solution on the signed supports of (beta, e), anchored
+    there, in dtype.  Returns (b, e, r, kkt): the point, its float64
+    residual (None in extended precision) and its full KKT residual; or
+    None when a sign of the anchor is not kept.  SingularMatrixError
+    propagates."""
+    X, y = instance.X, instance.y
+    T = np.flatnonzero(beta)
+    S = np.flatnonzero(e)
+    _, _, b, ee = restricted_solution(instance, T, S, lam_b, lam_e,
+                                      anchor_beta=beta, anchor_e=e, dtype=dtype)
+    if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
+            and np.array_equal(np.sign(ee[S]), np.sign(e[S]))):
+        return None
+    r = None
+    if dtype is np.float64:
+        r = y - X @ b - math.sqrt(X.shape[0]) * ee
+    return b, ee, r, _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
+
+
+def _level_step(instance, beta, e, lam_b, lam_e, tol, obj):
+    """The float64 restricted point on the signed supports of the iterate
+    (beta, e) at the level's lambdas, or None.  It is returned only if it
+    keeps every sign, its objective is at most the iterate's obj, and its
+    KKT residual is at most the level's tol, the test that ends a level."""
+    try:
+        step = _restricted_step(instance, beta, e, lam_b, lam_e, np.float64)
+    except SingularMatrixError:
+        return None
+    if step is None:
+        return None
+    b, ee, r, kkt = step
+    if kkt > tol or residual_objective(r, b, ee, lam_b, lam_e) > obj:
+        return None
+    return b, ee
+
+
 def _exact_finish(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y):
     """The certified stationary point on the signed supports of (beta, e).
 
@@ -238,22 +295,16 @@ def _exact_finish(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y):
     or the residual exceeds tol.  kkt_check re-evaluates a float64 point in
     extended precision, so its residual must leave room for its rounding.
     """
-    X, y = instance.X, instance.y
-    T = np.flatnonzero(beta)
-    S = np.flatnonzero(e)
     for dt in (np.float64, np.longdouble):
         try:
-            _, _, b, ee = restricted_solution(
-                instance, T, S, lam_b, lam_e, anchor_beta=beta, anchor_e=e,
-                dtype=dt)
+            step = _restricted_step(instance, beta, e, lam_b, lam_e, dt)
         except SingularMatrixError:
             return None
-        if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
-                and np.array_equal(np.sign(ee[S]), np.sign(e[S]))):
+        if step is None:
             continue
-        kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
+        b, ee, _, kkt = step
         if kkt <= tol and (dt is np.longdouble or kkt + _float64_rounding_error(
-                X, abs_y, col_sq, b, ee, lam_b, lam_e) <= tol):
+                instance.X, abs_y, col_sq, b, ee, lam_b, lam_e) <= tol):
             return b, ee, kkt
     return None
 
@@ -291,7 +342,7 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
         if max_sweeps < 1:
             break
         tol = path_tol if i < len(levels) else cfg.tol_kkt
-        beta, e, it = _bcd(X, y, lb, le, beta, e, tol, max_sweeps, col_sq,
+        beta, e, it = _bcd(instance, lb, le, beta, e, tol, max_sweeps, col_sq,
                            abs_y)
         total += it
         budget -= it
@@ -327,8 +378,9 @@ def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
     l1_bound = (y @ y / (2 * n)) / lam
     abs_y = np.abs(y)
     lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
-    return _bcd(X, y, lam, float(lam_e), np.zeros(p), np.zeros(n), cfg.tol_kkt,
-                cfg.max_iters, np.einsum("ij,ij->j", X, X), abs_y)[0]
+    return _bcd(ProblemInstance(X=X, y=y), lam, float(lam_e), np.zeros(p),
+                np.zeros(n), cfg.tol_kkt, cfg.max_iters,
+                np.einsum("ij,ij->j", X, X), abs_y)[0]
 
 
 def _solve_linear(G, rhs):

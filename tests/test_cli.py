@@ -188,6 +188,22 @@ class TestSweepAndReport:
         assert named in err
         assert not (tmp_path / "o" / "sweep_result.json").exists()
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"trials": "2"}, "trials"),
+        ({"solver": {"max_iters": "100"}}, "max_iters")])
+    def test_sweep_config_value_of_wrong_type_exits_2(self, tmp_path, capsys,
+                                                      extra, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p_list": [32],
+                                        "regimes": ["sublinear"],
+                                        "theta_grid": [0.5], "trials": 1,
+                                        **extra}))
+        code, _, err = run_cli(["sweep", str(cfg_path),
+                                str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert named in err
+        assert not (tmp_path / "o" / "sweep_result.json").exists()
+
     def test_sweep_config_logged(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"p_list": [32],

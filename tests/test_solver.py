@@ -319,12 +319,24 @@ class TestExactFinish:
         assert sol.beta_hat.dtype == np.float64
 
     def test_singular_finish_falls_back_to_not_converged(self, monkeypatch):
-        calls = []
+        # path-level steps call restricted_solution too (and fail here); only
+        # the calls made inside _exact_finish are finish attempts
+        calls, in_finish = [], [False]
+        real_finish = solver._exact_finish
+
+        def finish(*args):
+            in_finish[0] = True
+            try:
+                return real_finish(*args)
+            finally:
+                in_finish[0] = False
 
         def singular(*args, **kwargs):
-            calls.append(kwargs["dtype"])
+            if in_finish[0]:
+                calls.append(kwargs["dtype"])
             raise xl.SingularMatrixError("forced")
 
+        monkeypatch.setattr(solver, "_exact_finish", finish)
         monkeypatch.setattr(solver, "restricted_solution", singular)
         inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
         lam_b, lam_e = xl.lambdas_simulation(0.15, 60, 15)
@@ -402,6 +414,90 @@ class TestWorkingSet:
             anchor_e=sol.e_hat)
         np.testing.assert_allclose(sol.beta_hat, beta_r, atol=1e-10)
         np.testing.assert_allclose(sol.e_hat, e_r, atol=1e-10)
+
+
+class TestLevelStep:
+    def test_same_answer_in_fewer_sweeps(self, monkeypatch):
+        """At the criterion-1 penalties the level step changes the answer by
+        at most 1e-12 and no sign, and saves sweeps."""
+        inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
+        lam_b = 5e-9
+        lam_e = lam_b / math.sqrt(math.log(64))
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        monkeypatch.setattr(solver, "_level_step", lambda *args: None)
+        ref = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        assert sol.converged and ref.converged
+        for got, want in ((sol.beta_hat, ref.beta_hat), (sol.e_hat, ref.e_hat)):
+            assert np.array_equal(np.sign(got), np.sign(want))
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert sol.iterations < ref.iterations
+
+    def test_sign_flip_rejected_when_a_coordinate_leaves(self, monkeypatch):
+        """AR(1) design with rho = 0.8: coordinate 1 is on the support at an
+        early path level and off it at the end.  The restricted solve on
+        the support that still holds it flips its sign, so that step is
+        rejected, and the solve still certifies."""
+        spec = xl.CovarianceSpec("ar1", p=9, rho=0.8)
+        inst = xl.gen_instance(57, 9, k=3, s=5, sigma=0.1, spec=spec, seed=7)
+        lam_b, lam_e = 3e-3, 2e-3
+        tries = []  # per level step: beta coordinates whose sign flips, result
+        real = solver._restricted_step
+
+        def restricted_step(instance, beta, e, lb, le, dtype):
+            _, _, b, _ = xl.restricted_solution(
+                instance, np.flatnonzero(beta), np.flatnonzero(e), lb, le,
+                anchor_beta=beta, anchor_e=e, dtype=dtype)
+            out = real(instance, beta, e, lb, le, dtype)
+            if lb != lam_b:
+                tries.append((np.flatnonzero(np.sign(b) != np.sign(beta)), out))
+            return out
+
+        monkeypatch.setattr(solver, "_restricted_step", restricted_step)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        flips = [(flipped, out) for flipped, out in tries if len(flipped)]
+        assert [flipped.tolist() for flipped, _ in flips] == [[1]]
+        assert all(out is None for _, out in flips)
+        assert any(out is not None for _, out in tries)
+        assert sol.beta_hat[1] == 0.0
+        assert sol.converged
+        assert xl.kkt_check(inst, sol).certified
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 80), p=st.integers(2, 64), k=st.integers(1, 4),
+           s_frac=st.floats(0.0, 0.4), sigma=st.sampled_from([0.0, 0.1]),
+           design=st.sampled_from(["identity", "ar1"]),
+           rho=st.floats(0.0, 0.9), log_lam=st.floats(-6.0, -1.0),
+           log_ratio=st.floats(-1.0, 1.0), seed=st.integers(0, 10_000))
+    def test_accepted_steps_descend_and_end_the_level(
+            self, n, p, k, s_frac, sigma, design, rho, log_lam, log_ratio,
+            seed):
+        """Over TestWorkingSet's distribution, every accepted level step
+        has an objective no higher than the iterate's and a float64 KKT
+        residual within the level's tol, and converged solves certify."""
+        spec = xl.CovarianceSpec(design, p=p,
+                                 rho=rho if design == "ar1" else 0.0)
+        inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
+                               sigma=sigma, spec=spec, seed=seed)
+        lam_b = 10.0 ** log_lam
+        accepted = []
+        real = solver._level_step
+
+        def level_step(instance, beta, e, lb, le, tol, obj):
+            out = real(instance, beta, e, lb, le, tol, obj)
+            if out is not None:
+                accepted.append((beta.copy(), e.copy(), lb, le, tol,
+                                 out[0].copy(), out[1].copy()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_level_step", level_step)
+            assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
+        for beta, e, lb, le, tol, b, ee in accepted:
+            before = xl.objective_value(inst, beta, e, lb, le)
+            assert xl.objective_value(inst, b, ee, lb, le) <= \
+                before + 1e-12 * max(1.0, abs(before))
+            assert solver._joint_kkt_residual(inst.X, inst.y, b, ee, lb,
+                                              le) <= tol
 
 
 # ---------------------------------------------------------------------------

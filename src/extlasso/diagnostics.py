@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEFAULT_ZERO_TOL, InputError, ProblemInstance, Solution,
-                    extract_signed_support, index_array)
+                    _as_vector, extract_signed_support, index_array)
 from .rng import stream
 from .solver import _scaled_duals, restricted_solution
 
@@ -92,9 +92,10 @@ class ReEstimate:
 def kkt_check(instance: ProblemInstance, solution: Solution,
               tol: float = 1e-9) -> KktReport:
     """Evaluate the optimality system at the solution; always returns a
-    report, certified only if the stationarity residual is at most tol."""
-    beta = np.asarray(solution.beta_hat, dtype=np.longdouble)
-    e = np.asarray(solution.e_hat, dtype=np.longdouble)
+    report, certified only if the stationarity residual is at most tol.
+    DimensionMismatchError if the solution does not fit the instance."""
+    beta = _as_vector("beta_hat", solution.beta_hat, instance.p, np.longdouble)
+    e = _as_vector("e_hat", solution.e_hat, instance.n, np.longdouble)
     (z_beta, z_e), stat, off_b, off_e = _scaled_duals(
         instance.X, instance.y, beta, e, solution.lambda_beta,
         solution.lambda_e)
@@ -264,12 +265,13 @@ class RecoveryMetrics:
 
 def recovery_metrics(instance: ProblemInstance, solution: Solution,
                      zero_tol: float = DEFAULT_ZERO_TOL) -> RecoveryMetrics:
-    """Errors of (beta_hat, e_hat) against the instance truth."""
+    """Errors of (beta_hat, e_hat) against the instance truth.
+    DimensionMismatchError if the solution does not fit the instance."""
     if instance.truth is None:
         raise InputError("recovery metrics require the instance truth")
     t = instance.truth
-    h = np.asarray(solution.beta_hat, dtype=np.float64) - t.beta_star
-    f = np.asarray(solution.e_hat, dtype=np.float64) - t.e_star
+    h = _as_vector("beta_hat", solution.beta_hat, instance.p) - t.beta_star
+    f = _as_vector("e_hat", solution.e_hat, instance.n) - t.e_star
     sup_b = extract_signed_support(solution.beta_hat, zero_tol) == \
         extract_signed_support(t.beta_star, zero_tol)
     sup_e = extract_signed_support(solution.e_hat, zero_tol) == \

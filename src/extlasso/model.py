@@ -50,11 +50,16 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 def index_array(name: str, idx, size: int) -> np.ndarray:
     """idx as an index array in the caller's order; InputError unless every
-    entry lies in [0, size), so that -1 cannot wrap around."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
+    entry is an integer in [0, size), so that -1 cannot wrap around, 1.7
+    cannot truncate to 1 and a boolean mask cannot pass as 0/1 indexes."""
+    idx = np.asarray(idx)
+    if not idx.size:  # np.asarray([]) is float64
+        return idx.astype(np.intp)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InputError(f"{name} must hold integer indexes, got {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= size:
         raise InputError(f"{name} indexes must lie in [0, {size})")
-    return idx
+    return idx.astype(np.intp, copy=False)
 
 
 def _as_vector(name: str, x, length: int | None = None, dtype=np.float64) -> np.ndarray:
@@ -278,8 +283,12 @@ def _encode_array(a: np.ndarray) -> dict:
 
 
 def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    a = np.frombuffer(raw, dtype="<f8").reshape(d["shape"], order="F")
+    try:
+        raw = base64.b64decode(d["data"])
+        a = np.frombuffer(raw, dtype="<f8").reshape(d["shape"], order="F")
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"array data does not fit shape {d['shape']!r}: "
+                         f"{exc}") from None
     return np.array(a, dtype=np.float64, order="F" if a.ndim == 2 else "C")
 
 
@@ -349,6 +358,9 @@ def solution_to_dict(sol: Solution) -> dict:
 def solution_from_dict(d: dict) -> Solution:
     if d.get("schema") != SCHEMA_SOLUTION:
         raise InputError(f"unrecognized solution schema: {d.get('schema')!r}")
+    if not isinstance(d["converged"], bool):
+        raise InputError(f"converged must be a JSON boolean, "
+                         f"got {d['converged']!r}")
     return Solution(
         beta_hat=_decode_array(d["beta_hat"]),
         e_hat=_decode_array(d["e_hat"]),
@@ -356,6 +368,6 @@ def solution_from_dict(d: dict) -> Solution:
         lambda_e=float(d["lambda_e"]),
         objective=float(d["objective"]),
         iterations=int(d["iterations"]),
-        converged=bool(d["converged"]),
+        converged=d["converged"],
         kkt_residual=float(d["kkt_residual"]),
     )

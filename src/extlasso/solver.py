@@ -18,20 +18,21 @@ Every solve starts from zero and drives regularization down a geometric
 lambda path (largest lambda first, warm starts): a cold start at very small
 lambda_e lets the corruption block absorb the entire residual and stalls
 the alternation, while warm-started supports contract at a linear rate.
-The path runs in float64 to a loose 1e-6, enough to find the signed
-supports (T, S).  Coordinate descent only has to find each level's (T, S):
-once the signs of (beta, e) are the same at two in-loop KKT checks, the
-restricted closed form on them at the level's own lambdas ends the level,
-if it keeps every sign, does not raise the objective and meets the level's
-tolerance (continuation, shrinkage, then a subspace solve, as in FPC_AS,
-Wen, Yin, Goldfarb & Zhang 2010).  The exact finish then solves the
-restricted program on the signed supports at the target lambdas and
-accepts the point only if every sign is kept and the full KKT residual is
-at most tol_kkt.  It runs in float64 first, and in extended precision
-(float80 on x86) only when float64 cannot certify: one ulp of a unit-scale
-coordinate moves the scaled dual by ~2e-16/lambda.  If neither certifies,
-coordinate descent resumes at the target lambdas and the finish is retried
-a bounded number of times before converged=False is returned.
+Coordinate descent only has to find the signed supports (T, S); the point
+on them comes from one restricted step (continuation, shrinkage, then a
+subspace solve, as in FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  Once the
+signs of (beta, e) are the same at two in-loop KKT checks, the restricted
+closed form on them at the lambdas being solved is tried, and it ends the
+call if it passes.  On the path levels, which run in float64 to a loose
+1e-6, it passes if it keeps every sign, does not raise the objective and
+meets the level's tolerance.  At the target lambdas it must certify: it
+keeps every sign and its full KKT residual is at most tol_kkt.  There it
+runs in float64 first, and in extended precision (float80 on x86) after
+any float64 failure: one ulp of a unit-scale coordinate moves the scaled
+dual by ~2e-16/lambda.  A target window that ends any other way tries the
+step once on its final signs.  The target is solved in a bounded number of
+windows, each with a fresh stall count; if none certifies, converged=False
+is returned.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ _TOL_OBJ = 1e-12  # a sweep that lowers the objective by less stalls
 _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.1%
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
-_FINISH_RETRIES = 3  # coordinate-descent resumes before a solve gives up
+_FINISH_RETRIES = 3  # target windows after the target path level
 _ROWS = 1024  # rows of X converted to extended precision at a time
 _PATH_STEPS_PER_DECADE = 3
 
@@ -140,7 +141,13 @@ def _working_set(beta, z_b):
     return np.flatnonzero((beta != 0) | (np.abs(z_b) >= 1.0)).tolist()
 
 
-def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
+def _sign_key(beta, e):
+    """The signs of (beta, e) as one hashable pattern."""
+    return np.sign(np.concatenate((beta, e))).astype(np.int8).tobytes()
+
+
+def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
+         exact):
     """Alternating beta-sweep / e-step loop in float64.
 
     Each beta sweep runs cyclic coordinate descent over the working set
@@ -152,12 +159,16 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
     _KKT_REFRESH sweeps and on the last, is at most tol, when progress
     stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
     nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
-    also stops at a level step: when a check above tol finds the same signs
-    of (beta, e) as the check before, _level_step tries the restricted
-    closed form on those signed supports, and the loop ends at that point
-    if it passes.  A sign pattern whose step failed is not tried again in
-    the same call.  Returns (beta, e, sweeps); sweeps counts beta sweeps,
-    not restricted solves.
+    also stops at a restricted step: when a check above tol finds the same
+    signs of (beta, e) as the check before, _restricted_step tries the
+    restricted closed form on those signed supports, under the path-level
+    rule or, with exact, the certification rule, and the loop ends at that
+    point if it passes.  A sign pattern whose step failed is not tried
+    again in the same call.  With exact, a call that ends any other way
+    tries the step once on its final signs, unless that pattern failed.
+    Returns (beta, e, kkt, sweeps): kkt is the accepted step's KKT residual,
+    or None when no step was accepted; sweeps counts beta sweeps, not
+    restricted solves.
     """
     X, y = instance.X, instance.y
     n = X.shape[0]
@@ -218,13 +229,12 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
             kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
             if kkt <= tol:
                 break
-            prev, signs = signs, np.sign(np.concatenate((beta, e))).astype(
-                np.int8).tobytes()
+            prev, signs = signs, _sign_key(beta, e)
             if signs == prev and signs not in failed:
-                step = _level_step(instance, beta, e, lam_b, lam_e, tol, obj)
+                step = _restricted_step(instance, beta, e, lam_b, lam_e, tol,
+                                        obj, col_sq, abs_y, exact)
                 if step is not None:
-                    beta, e = step
-                    break
+                    return (*step, sweeps)
                 failed.add(signs)
             W = _working_set(beta, z_b)
             if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
@@ -236,7 +246,12 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y):
             if stall >= _STALL_LIMIT:
                 break
         prev_obj = obj
-    return beta, e, sweeps
+    if exact and _sign_key(beta, e) not in failed:
+        step = _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj,
+                                col_sq, abs_y, exact)
+        if step is not None:
+            return (*step, sweeps)
+    return beta, e, None, sweeps
 
 
 def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
@@ -250,61 +265,46 @@ def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
             for t in range(1, steps + 1)]
 
 
-def _restricted_step(instance, beta, e, lam_b, lam_e, dtype):
-    """restricted_solution on the signed supports of (beta, e), anchored
-    there, in dtype.  Returns (b, e, r, kkt): the point, its float64
-    residual (None in extended precision) and its full KKT residual; or
-    None when a sign of the anchor is not kept.  SingularMatrixError
-    propagates."""
+def _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj, col_sq, abs_y,
+                     exact):
+    """restricted_solution on the signed supports of the iterate (beta, e)
+    at (lam_b, lam_e), anchored there.  Returns the accepted point and its
+    full KKT residual as (b, e, kkt), or None; None also when the restricted
+    system is singular.
+
+    On a path level (not exact) the float64 point is accepted if it keeps
+    every sign, its KKT residual is at most tol and its objective is at most
+    the iterate's obj.  At the target (exact) the point must certify: it
+    keeps every sign and its KKT residual is at most tol.  kkt_check
+    re-evaluates a float64 point in extended precision, so a float64
+    residual must leave room for its rounding; after any float64 failure
+    the solve is repeated in extended precision.  There is no objective
+    test at the target, since a certified point is optimal.
+    """
     X, y = instance.X, instance.y
     T = np.flatnonzero(beta)
     S = np.flatnonzero(e)
-    _, _, b, ee = restricted_solution(instance, T, S, lam_b, lam_e,
-                                      anchor_beta=beta, anchor_e=e, dtype=dtype)
-    if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
-            and np.array_equal(np.sign(ee[S]), np.sign(e[S]))):
-        return None
-    r = None
-    if dtype is np.float64:
-        r = y - X @ b - math.sqrt(X.shape[0]) * ee
-    return b, ee, r, _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
-
-
-def _level_step(instance, beta, e, lam_b, lam_e, tol, obj):
-    """The float64 restricted point on the signed supports of the iterate
-    (beta, e) at the level's lambdas, or None.  It is returned only if it
-    keeps every sign, its objective is at most the iterate's obj, and its
-    KKT residual is at most the level's tol, the test that ends a level."""
-    try:
-        step = _restricted_step(instance, beta, e, lam_b, lam_e, np.float64)
-    except SingularMatrixError:
-        return None
-    if step is None:
-        return None
-    b, ee, r, kkt = step
-    if kkt > tol or residual_objective(r, b, ee, lam_b, lam_e) > obj:
-        return None
-    return b, ee
-
-
-def _exact_finish(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y):
-    """The certified stationary point on the signed supports of (beta, e).
-
-    Tries float64, then extended precision.  Returns (beta, e, kkt), or None
-    when neither certifies: a sign flips, the restricted system is singular,
-    or the residual exceeds tol.  kkt_check re-evaluates a float64 point in
-    extended precision, so its residual must leave room for its rounding.
-    """
-    for dt in (np.float64, np.longdouble):
+    for dt in (np.float64, np.longdouble) if exact else (np.float64,):
         try:
-            step = _restricted_step(instance, beta, e, lam_b, lam_e, dt)
+            _, _, b, ee = restricted_solution(instance, T, S, lam_b, lam_e,
+                                              anchor_beta=beta, anchor_e=e,
+                                              dtype=dt)
         except SingularMatrixError:
             return None
-        if step is None:
+        if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
+                and np.array_equal(np.sign(ee[S]), np.sign(e[S]))):
             continue
-        b, ee, _, kkt = step
-        if kkt <= tol and (dt is np.longdouble or kkt + _float64_rounding_error(
-                instance.X, abs_y, col_sq, b, ee, lam_b, lam_e) <= tol):
+        r = None
+        if dt is np.float64:
+            r = y - X @ b - math.sqrt(X.shape[0]) * ee
+        kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
+        if kkt > tol:
+            continue
+        if not exact:
+            if residual_objective(r, b, ee, lam_b, lam_e) <= obj:
+                return b, ee, kkt
+        elif dt is np.longdouble or kkt + _float64_rounding_error(
+                X, abs_y, col_sq, b, ee, lam_b, lam_e) <= tol:
             return b, ee, kkt
     return None
 
@@ -329,35 +329,32 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     lmax_e = float(np.max(abs_y)) / math.sqrt(n)
     levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e)
 
-    # the path runs to path_tol; at the target lambdas the exact finish is
-    # tried, and on failure coordinate descent resumes there to tol_kkt
+    # the path levels run to path_tol; the target runs to tol_kkt in its
+    # path level and _FINISH_RETRIES more windows, each with a fresh stall
+    # count, and the solve ends at the first certified restricted step
     schedule = levels + [(lam_b, lam_e)] * _FINISH_RETRIES
     path_tol = max(cfg.tol_kkt, _PATH_TOL)
     total = 0
     budget = cfg.max_iters
-    found = None
+    converged = False
     for i, (lb, le) in enumerate(schedule):
-        final = i >= len(levels) - 1
-        max_sweeps = budget if final else min(budget, _LEVEL_SWEEPS)
+        exact = i >= len(levels) - 1
+        max_sweeps = budget if exact else min(budget, _LEVEL_SWEEPS)
         if max_sweeps < 1:
             break
-        tol = path_tol if i < len(levels) else cfg.tol_kkt
-        beta, e, it = _bcd(instance, lb, le, beta, e, tol, max_sweeps, col_sq,
-                           abs_y)
+        beta, e, kkt, it = _bcd(instance, lb, le, beta, e,
+                                cfg.tol_kkt if exact else path_tol,
+                                max_sweeps, col_sq, abs_y, exact)
         total += it
         budget -= it
-        if final:
-            found = _exact_finish(instance, beta, e, lam_b, lam_e,
-                                  cfg.tol_kkt, col_sq, abs_y)
-            if found is not None:
-                break
-    if found is not None:
-        beta, e, kkt = found
-    else:
+        converged = exact and kkt is not None
+        if converged:
+            break
+    if not converged:
         kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
     obj = objective_value(instance, beta, e, lam_b, lam_e)
     return Solution(beta_hat=beta, e_hat=e, lambda_beta=lam_b, lambda_e=lam_e,
-                    objective=obj, iterations=total, converged=found is not None,
+                    objective=obj, iterations=total, converged=converged,
                     kkt_residual=float(kkt))
 
 
@@ -380,7 +377,7 @@ def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
     lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
     return _bcd(ProblemInstance(X=X, y=y), lam, float(lam_e), np.zeros(p),
                 np.zeros(n), cfg.tol_kkt, cfg.max_iters,
-                np.einsum("ij,ij->j", X, X), abs_y)[0]
+                np.einsum("ij,ij->j", X, X), abs_y, False)[0]
 
 
 def _solve_linear(G, rhs):

@@ -124,6 +124,57 @@ class TestErrorPaths:
                               "--covariance", "mystery"], capsys)
         assert code == 2
 
+    @staticmethod
+    def _edit(path, edit):
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+
+    def _solution_file(self, tmp_path, instance_file, capsys):
+        sol_path = tmp_path / "sol.json"
+        code, _, _ = run_cli(["solve", str(instance_file),
+                              "-o", str(sol_path)], capsys)
+        assert code == 0
+        return sol_path
+
+    def test_solution_shape_mismatch_exits_2(self, tmp_path, instance_file,
+                                             capsys):
+        sol_path = self._solution_file(tmp_path, instance_file, capsys)
+        self._edit(sol_path, lambda d: d["beta_hat"].update(shape=[17]))
+        code, _, _ = run_cli(["verify", str(instance_file), str(sol_path)],
+                             capsys)
+        assert code == 2
+
+    def test_instance_shape_mismatch_exits_2(self, instance_file, capsys):
+        self._edit(instance_file, lambda d: d["X"].update(shape=[60, 17]))
+        code, _, _ = run_cli(["solve", str(instance_file)], capsys)
+        assert code == 2
+
+    def test_invalid_base64_exits_2(self, instance_file, capsys):
+        # "AAAA" decodes to 3 bytes, not a whole double
+        self._edit(instance_file, lambda d: d["y"].update(data="AAAA"))
+        code, _, _ = run_cli(["solve", str(instance_file)], capsys)
+        assert code == 2
+
+    def test_solution_of_another_instance_exits_2(self, tmp_path,
+                                                  instance_file, capsys):
+        sol_path = self._solution_file(tmp_path, instance_file, capsys)
+        other = tmp_path / "other.json"
+        code, _, _ = run_cli(["generate", "-n", "40", "-p", "16", "--k", "3",
+                              "--s", "8", "--sigma", "0.1", "--seed", "5",
+                              "-o", str(other)], capsys)
+        assert code == 0
+        code, _, _ = run_cli(["verify", str(other), str(sol_path)], capsys)
+        assert code == 2
+
+    def test_converged_must_be_a_boolean_exits_2(self, tmp_path,
+                                                 instance_file, capsys):
+        sol_path = self._solution_file(tmp_path, instance_file, capsys)
+        self._edit(sol_path, lambda d: d.update(converged="false"))
+        code, _, _ = run_cli(["verify", str(instance_file), str(sol_path)],
+                             capsys)
+        assert code == 2
+
 
 class TestSweepAndReport:
     def test_sweep_writes_results_and_curves(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extlasso as xl
+from extlasso.model import DimensionMismatchError
 from extlasso.rng import stream
 from oracles import brute_force_re_min, reference_re_estimate
 
@@ -136,6 +137,14 @@ class TestWitness:
         with pytest.raises(xl.InputError, match="lie in"):
             xl.primal_dual_witness(inst, T, S, 0.1, 0.1)
 
+    @pytest.mark.parametrize("T, S", [([True] * 2 + [False] * 6, [0]),
+                                      ([0], [True] * 4 + [False] * 36),
+                                      ([1.7], [0]), ([0], [0.0])])
+    def test_mask_or_fraction_rejected(self, T, S):
+        inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
+        with pytest.raises(xl.InputError, match="integer indexes"):
+            xl.primal_dual_witness(inst, T, S, 0.1, 0.1)
+
     def test_off_truth_supports_ignore_the_truth_outside_them(self):
         """At (T, S) other than the truth's, the witness candidate is the
         restricted point anchored at the truth zeroed off (T, S)."""
@@ -220,10 +229,13 @@ class TestReEstimate:
         assert type(est.sampling_spec["seed"]) is int
 
     @pytest.mark.parametrize("T, S", [([-1], [0]), ([0], [-1]),
-                                      ([6], [0]), ([0], [20])])
+                                      ([6], [0]), ([0], [20]),
+                                      ([True] + [False] * 5, [0]),
+                                      ([0], [1.5])])
     def test_index_outside_range_rejected(self, T, S):
         # a negative index used to wrap around (T=[-1] acted as T=[p-1]),
-        # and one past the end raised a bare IndexError
+        # one past the end raised a bare IndexError, a mask became 0/1
+        # indexes and 1.5 became 1
         X = stream(64, 0).standard_normal((20, 6))
         with pytest.raises(xl.InputError):
             xl.extended_re_estimate(X, T, S, 1.0, 100)
@@ -300,6 +312,17 @@ class TestReEstimateProperties:
 
 
 class TestRecoveryMetrics:
+    def test_solution_that_does_not_fit_rejected(self):
+        # an n = 30 solution met an n = 40 instance with a bare broadcast
+        # ValueError
+        small = xl.gen_instance(30, 8, k=2, s=4, sigma=0.1, seed=47)
+        big = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=47)
+        sol = xl.solve_extended_lasso(small, 0.05, 0.05)
+        with pytest.raises(DimensionMismatchError):
+            xl.kkt_check(big, sol)
+        with pytest.raises(DimensionMismatchError):
+            xl.recovery_metrics(big, sol)
+
     def test_exact_solution_zero_errors(self):
         inst = xl.gen_instance(30, 8, k=3, s=6, sigma=0.1, seed=46)
         t = inst.truth

@@ -132,7 +132,8 @@ def fista(X, y, lam_b, lam_e, tol, iters=50_000):
 def assert_converged_certifies(inst, lam_b, lam_e):
     """If the solve reports convergence, it is stationary to 1e-9,
     sign-consistent and dual-feasible over all coordinates when re-evaluated
-    in extended precision."""
+    in extended precision, and kkt_check certifies it (strict feasibility
+    included)."""
     sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
     if sol.converged:
         rep = xl.kkt_check(inst, sol)
@@ -140,6 +141,7 @@ def assert_converged_certifies(inst, lam_b, lam_e):
         assert rep.sign_consistent
         assert max(rep.max_offsupport_zbeta, rep.max_offsupport_ze) \
             <= 1.0 + 1e-9
+        assert rep.certified
 
 
 def make_instance_from_parts(X, beta_star, e_star, w, sigma=0.0):
@@ -319,33 +321,60 @@ class TestExactFinish:
         assert sol.beta_hat.dtype == np.float64
 
     def test_singular_finish_falls_back_to_not_converged(self, monkeypatch):
-        # path-level steps call restricted_solution too (and fail here); only
-        # the calls made inside _exact_finish are finish attempts
-        calls, in_finish = [], [False]
-        real_finish = solver._exact_finish
+        # path levels call restricted_solution too (and fail here); only the
+        # calls made inside target windows (exact _bcd calls) are finishes
+        windows = []  # per target window: the dtypes of its restricted solves
+        real_bcd = solver._bcd
 
-        def finish(*args):
-            in_finish[0] = True
-            try:
-                return real_finish(*args)
-            finally:
-                in_finish[0] = False
+        def bcd(*args):
+            if args[-1]:
+                windows.append([])
+            return real_bcd(*args)
 
         def singular(*args, **kwargs):
-            if in_finish[0]:
-                calls.append(kwargs["dtype"])
+            if windows:
+                windows[-1].append(kwargs["dtype"])
             raise xl.SingularMatrixError("forced")
 
-        monkeypatch.setattr(solver, "_exact_finish", finish)
+        monkeypatch.setattr(solver, "_bcd", bcd)
         monkeypatch.setattr(solver, "restricted_solution", singular)
         inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
         lam_b, lam_e = xl.lambdas_simulation(0.15, 60, 15)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-        # one float64 finish after the path and one after each bounded resume
-        assert calls == [np.float64] * (1 + solver._FINISH_RETRIES)
+        # the target's path level and each bounded resume try the step, in
+        # float64 only: a singular system is not retried in longdouble
+        assert len(windows) == 1 + solver._FINISH_RETRIES
+        assert all(w and set(w) == {np.float64} for w in windows)
         assert not sol.converged
         assert sol.kkt_residual == solver._joint_kkt_residual(
             inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
+
+    def test_no_restricted_solve_repeats_within_a_call(self, monkeypatch):
+        """No float64 restricted solve on the same (T, S) at the same
+        lambdas is made twice for one _bcd call; a solve made after a call
+        returns counts against that call."""
+        calls = []  # per _bcd call: the (T, S, lambdas) of its float64 solves
+        real_bcd, real_rs = solver._bcd, solver.restricted_solution
+
+        def bcd(*args):
+            calls.append([])
+            return real_bcd(*args)
+
+        def restricted_solution(instance, T, S, lb, le, **kwargs):
+            if kwargs["dtype"] is np.float64:
+                calls[-1].append((tuple(T.tolist()), tuple(S.tolist()), lb,
+                                  le))
+            return real_rs(instance, T, S, lb, le, **kwargs)
+
+        monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "restricted_solution",
+                            restricted_solution)
+        inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
+        sol = xl.solve_extended_lasso(inst, *xl.lambdas_simulation(0.15, 60,
+                                                                   15))
+        assert sol.converged
+        assert sum(map(len, calls)) > 0
+        assert all(len(set(c)) == len(c) for c in calls)
 
 
 class TestWorkingSet:
@@ -424,7 +453,10 @@ class TestLevelStep:
         lam_b = 5e-9
         lam_e = lam_b / math.sqrt(math.log(64))
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-        monkeypatch.setattr(solver, "_level_step", lambda *args: None)
+        real = solver._restricted_step
+        # path-level steps off; the target's certified step stays
+        monkeypatch.setattr(solver, "_restricted_step",
+                            lambda *args: real(*args) if args[-1] else None)
         ref = xl.solve_extended_lasso(inst, lam_b, lam_e)
         assert sol.converged and ref.converged
         for got, want in ((sol.beta_hat, ref.beta_hat), (sol.e_hat, ref.e_hat)):
@@ -443,12 +475,12 @@ class TestLevelStep:
         tries = []  # per level step: beta coordinates whose sign flips, result
         real = solver._restricted_step
 
-        def restricted_step(instance, beta, e, lb, le, dtype):
+        def restricted_step(instance, beta, e, lb, le, *args):
             _, _, b, _ = xl.restricted_solution(
                 instance, np.flatnonzero(beta), np.flatnonzero(e), lb, le,
-                anchor_beta=beta, anchor_e=e, dtype=dtype)
-            out = real(instance, beta, e, lb, le, dtype)
-            if lb != lam_b:
+                anchor_beta=beta, anchor_e=e)
+            out = real(instance, beta, e, lb, le, *args)
+            if not args[-1]:  # a path level
                 tries.append((np.flatnonzero(np.sign(b) != np.sign(beta)), out))
             return out
 
@@ -480,17 +512,17 @@ class TestLevelStep:
                                sigma=sigma, spec=spec, seed=seed)
         lam_b = 10.0 ** log_lam
         accepted = []
-        real = solver._level_step
+        real = solver._restricted_step
 
-        def level_step(instance, beta, e, lb, le, tol, obj):
-            out = real(instance, beta, e, lb, le, tol, obj)
-            if out is not None:
+        def restricted_step(instance, beta, e, lb, le, tol, *args):
+            out = real(instance, beta, e, lb, le, tol, *args)
+            if out is not None and not args[-1]:  # accepted on a path level
                 accepted.append((beta.copy(), e.copy(), lb, le, tol,
                                  out[0].copy(), out[1].copy()))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_level_step", level_step)
+            mp.setattr(solver, "_restricted_step", restricted_step)
             assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
         for beta, e, lb, le, tol, b, ee in accepted:
             before = xl.objective_value(inst, beta, e, lb, le)
@@ -569,6 +601,23 @@ class TestRestrictedSolution:
         inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
         with pytest.raises(xl.InputError, match="lie in"):
             xl.restricted_solution(inst, T, S, 0.1, 0.1)
+
+    @pytest.mark.parametrize("T, S", [([True] * 2 + [False] * 6, [0]),
+                                      ([0], [True] * 4 + [False] * 36),
+                                      ([1.7], [0]), ([0], [0.0])])
+    def test_mask_or_fraction_rejected(self, T, S):
+        # a mask used to become 0/1 indexes (and a misleading singular
+        # system), and 1.7 silently became 1
+        inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
+        with pytest.raises(xl.InputError, match="integer indexes"):
+            xl.restricted_solution(inst, T, S, 0.1, 0.1)
+
+    def test_empty_index_lists_accepted(self):
+        inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
+        hT, gS, beta_hat, e_hat = xl.restricted_solution(inst, [], [], 0.1,
+                                                         0.1)
+        assert hT.size == 0 and gS.size == 0
+        assert not beta_hat.any() and not e_hat.any()
 
     def test_outputs_follow_the_callers_order(self):
         inst = xl.gen_instance(40, 8, k=3, s=4, sigma=0.1, seed=3)

@@ -137,11 +137,9 @@ def _cmd_verify(ns) -> int:
             "step4_pass": wit.step4_pass,
             "failing_condition": wit.failing_condition,
             "max_offsupport_zbeta": float(np.max(np.abs(
-                wit.dual_offsupport_beta))) if wit.dual_offsupport_beta.size
-            else 0.0,
+                wit.dual_offsupport_beta), initial=0.0)),
             "max_offsupport_ze": float(np.max(np.abs(
-                wit.dual_offsupport_e))) if wit.dual_offsupport_e.size
-            else 0.0,
+                wit.dual_offsupport_e), initial=0.0)),
         }
     _write_text(ns.output, json.dumps(payload, indent=2))
     return EXIT_OK if payload["certified"] else EXIT_CERTIFICATION

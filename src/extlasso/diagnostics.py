@@ -132,8 +132,8 @@ def primal_dual_witness(instance: ProblemInstance, T, S, lam_b: float,
     zb_off = np.delete(z_beta, T)
     ze_off = np.delete(z_e, S)
 
-    max_b = float(np.max(np.abs(zb_off))) if zb_off.size else 0.0
-    max_e = float(np.max(np.abs(ze_off))) if ze_off.size else 0.0
+    max_b = float(np.max(np.abs(zb_off), initial=0.0))
+    max_e = float(np.max(np.abs(ze_off), initial=0.0))
     dual_beta_ok = max_b < 1.0 - _TIE_TOL
     dual_e_ok = max_e < 1.0 - _TIE_TOL
     step3 = dual_beta_ok and dual_e_ok
@@ -279,8 +279,8 @@ def recovery_metrics(instance: ProblemInstance, solution: Solution,
     return RecoveryMetrics(
         l2_beta=float(np.linalg.norm(h)),
         l2_e=float(np.linalg.norm(f)),
-        linf_beta=float(np.max(np.abs(h))) if h.size else 0.0,
-        linf_e=float(np.max(np.abs(f))) if f.size else 0.0,
+        linf_beta=float(np.max(np.abs(h), initial=0.0)),
+        linf_e=float(np.max(np.abs(f), initial=0.0)),
         signed_support_beta=bool(sup_b),
         signed_support_e=bool(sup_e),
         prediction_error=float(np.linalg.norm(instance.X @ h))

@@ -14,6 +14,7 @@ order, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, is_dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -262,21 +263,15 @@ def run_sweep(cfg: SweepConfig, n_workers: int = 1,
     """
     cells = cfg.cells()
     tasks = [(cfg, cell, t) for cell in cells for t in range(cfg.trials)]
-    if n_workers <= 1:
-        records = []
-        for i, task in enumerate(tasks):
-            records.append(_trial_task(task))
-            if progress and (i + 1) % 25 == 0:
-                progress(i + 1, len(tasks))
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=n_workers) as pool:
-            records = []
-            for i, rec in enumerate(pool.imap_unordered(
-                    _trial_task, tasks, chunksize=4)):
-                records.append(rec)
-                if progress and (i + 1) % 25 == 0:
-                    progress(i + 1, len(tasks))
+    records = []
+    with (get_context("fork").Pool(processes=n_workers) if n_workers > 1
+          else nullcontext()) as pool:
+        results = (map(_trial_task, tasks) if pool is None
+                   else pool.imap_unordered(_trial_task, tasks, chunksize=4))
+        for i, rec in enumerate(results, 1):
+            records.append(rec)
+            if progress and i % 25 == 0:
+                progress(i, len(tasks))
     return _aggregate(cfg, cells, records)
 
 

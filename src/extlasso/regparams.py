@@ -109,7 +109,6 @@ class TheoryInputs:
     k: int
     s: int
     sigma: float
-    gamma_tuning: float = 1.0        # in (0, 1]
     gamma_incoherence: float = 0.5   # in (0, 1)
     epsilon: float = 0.5             # in (0, 1)
     delta: float = 0.5               # in (0, 1)
@@ -121,8 +120,6 @@ class TheoryInputs:
             raise InputError("inconsistent dimensions")
         if self.sigma < 0:
             raise InputError("sigma must be >= 0")
-        if not 0 < self.gamma_tuning <= 1:
-            raise InputError("gamma_tuning must lie in (0, 1]")
         for name in ("gamma_incoherence", "epsilon", "delta"):
             v = getattr(self, name)
             if not 0 < v < 1:

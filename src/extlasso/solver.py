@@ -23,14 +23,14 @@ on them comes from one restricted step (continuation, shrinkage, then a
 subspace solve, as in FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  Once the
 signs of (beta, e) are the same at two in-loop KKT checks, the restricted
 closed form on them at the lambdas being solved is tried, and it ends the
-call if it passes.  On the path levels, which run in float64 to a loose
-1e-6, it passes if it keeps every sign, does not raise the objective and
-meets the level's tolerance.  At the target lambdas it must certify: it
-keeps every sign and its full KKT residual is at most tol_kkt.  There it
-runs in float64 first, and in extended precision (float80 on x86) after
-any float64 failure: one ulp of a unit-scale coordinate moves the scaled
-dual by ~2e-16/lambda.  A target window that ends any other way tries the
-step once on its final signs.  The target is solved in a bounded number of
+call if it passes; at the target lambdas it is also tried when a check
+finds the iterate within tol_kkt.  It runs in float64 and must keep every
+sign.  On the path levels, which run to a loose 1e-6, it must also not
+raise the objective and meet the level's tolerance.  At the target it must
+certify, its full KKT residual at most tol_kkt with room for the float64
+rounding; only a miss within that rounding is solved again, in extended
+precision (float80 on x86): one ulp of a unit-scale coordinate moves the
+scaled dual by ~2e-16/lambda.  The target is solved in a bounded number of
 windows, each with a fresh stall count; if none certifies, converged=False
 is returned.
 """
@@ -160,12 +160,11 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
     stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
     nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
     also stops at a restricted step: when a check above tol finds the same
-    signs of (beta, e) as the check before, _restricted_step tries the
-    restricted closed form on those signed supports, under the path-level
-    rule or, with exact, the certification rule, and the loop ends at that
-    point if it passes.  A sign pattern whose step failed is not tried
-    again in the same call.  With exact, a call that ends any other way
-    tries the step once on its final signs, unless that pattern failed.
+    signs of (beta, e) as the check before, or with exact a check at or
+    below tol, _restricted_step tries the restricted closed form on those
+    signed supports, under the path-level rule or, with exact, the
+    certification rule, and the loop ends at that point if it passes.  A
+    sign pattern whose step failed is not tried again in the same call.
     Returns (beta, e, kkt, sweeps): kkt is the accepted step's KKT residual,
     or None when no step was accepted; sweeps counts beta sweeps, not
     restricted solves.
@@ -227,15 +226,16 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
             (z_b, _), on, off_b, off_e = _scaled_duals(X, y, beta, e, lam_b,
                                                        lam_e, r=r)
             kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
-            if kkt <= tol:
-                break
+            done = kkt <= tol
             prev, signs = signs, _sign_key(beta, e)
-            if signs == prev and signs not in failed:
+            if (exact if done else signs == prev) and signs not in failed:
                 step = _restricted_step(instance, beta, e, lam_b, lam_e, tol,
                                         obj, col_sq, abs_y, exact)
                 if step is not None:
                     return (*step, sweeps)
                 failed.add(signs)
+            if done:
+                break
             W = _working_set(beta, z_b)
             if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
                 best_kkt = kkt
@@ -246,11 +246,6 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
             if stall >= _STALL_LIMIT:
                 break
         prev_obj = obj
-    if exact and _sign_key(beta, e) not in failed:
-        step = _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj,
-                                col_sq, abs_y, exact)
-        if step is not None:
-            return (*step, sweeps)
     return beta, e, None, sweeps
 
 
@@ -269,44 +264,47 @@ def _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj, col_sq, abs_y,
                      exact):
     """restricted_solution on the signed supports of the iterate (beta, e)
     at (lam_b, lam_e), anchored there.  Returns the accepted point and its
-    full KKT residual as (b, e, kkt), or None; None also when the restricted
-    system is singular.
+    full KKT residual as (b, e, kkt), or None.
 
-    On a path level (not exact) the float64 point is accepted if it keeps
-    every sign, its KKT residual is at most tol and its objective is at most
-    the iterate's obj.  At the target (exact) the point must certify: it
-    keeps every sign and its KKT residual is at most tol.  kkt_check
-    re-evaluates a float64 point in extended precision, so a float64
-    residual must leave room for its rounding; after any float64 failure
-    the solve is repeated in extended precision.  There is no objective
-    test at the target, since a certified point is optimal.
+    The point is solved in float64; a singular system or a point that flips
+    any sign of the iterate gives None.  On a path level (not exact) it is
+    accepted if its KKT residual is at most tol and its objective at most
+    the iterate's obj.  At the target (exact) it must certify, and kkt_check
+    re-evaluates a float64 point in extended precision, so the residual is
+    judged with its float64 rounding bound err: accepted if kkt + err <= tol,
+    None if kkt - err > tol.  Only a miss that rounding can explain is solved
+    once more, in extended precision, and judged on signs and kkt <= tol.
+    There is no objective test at the target: a certified point is optimal.
     """
     X, y = instance.X, instance.y
-    T = np.flatnonzero(beta)
-    S = np.flatnonzero(e)
-    for dt in (np.float64, np.longdouble) if exact else (np.float64,):
+    T, S, signs = np.flatnonzero(beta), np.flatnonzero(e), _sign_key(beta, e)
+
+    def solve(dt):
         try:
             _, _, b, ee = restricted_solution(instance, T, S, lam_b, lam_e,
                                               anchor_beta=beta, anchor_e=e,
                                               dtype=dt)
         except SingularMatrixError:
             return None
-        if not (np.array_equal(np.sign(b[T]), np.sign(beta[T]))
-                and np.array_equal(np.sign(ee[S]), np.sign(e[S]))):
-            continue
-        r = None
-        if dt is np.float64:
-            r = y - X @ b - math.sqrt(X.shape[0]) * ee
-        kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
-        if kkt > tol:
-            continue
-        if not exact:
-            if residual_objective(r, b, ee, lam_b, lam_e) <= obj:
-                return b, ee, kkt
-        elif dt is np.longdouble or kkt + _float64_rounding_error(
-                X, abs_y, col_sq, b, ee, lam_b, lam_e) <= tol:
-            return b, ee, kkt
-    return None
+        return (b, ee) if _sign_key(b, ee) == signs else None
+
+    point = solve(np.float64)
+    if point is None:
+        return None
+    b, ee = point
+    r = y - X @ b - math.sqrt(X.shape[0]) * ee
+    kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
+    if not exact:
+        ok = kkt <= tol and residual_objective(r, b, ee, lam_b, lam_e) <= obj
+        return (b, ee, kkt) if ok else None
+    err = _float64_rounding_error(X, abs_y, col_sq, b, ee, lam_b, lam_e)
+    if kkt + err <= tol:
+        return b, ee, kkt
+    point = solve(np.longdouble) if kkt - err <= tol else None
+    if point is None:
+        return None
+    kkt = _joint_kkt_residual(X, y, *point, lam_b, lam_e)
+    return (*point, kkt) if kkt <= tol else None
 
 
 def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,

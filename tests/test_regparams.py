@@ -334,6 +334,4 @@ class TestTheoryInputs:
         with pytest.raises(xl.InputError):
             TheoryInputs(n=10, p=4, k=5, s=0, sigma=0.1)
         with pytest.raises(xl.InputError):
-            TheoryInputs(n=10, p=4, k=2, s=0, sigma=0.1, gamma_tuning=1.5)
-        with pytest.raises(xl.InputError):
             TheoryInputs(n=10, p=4, k=2, s=0, sigma=0.1, epsilon=1.0)

@@ -376,6 +376,48 @@ class TestExactFinish:
         assert sum(map(len, calls)) > 0
         assert all(len(set(c)) == len(c) for c in calls)
 
+    def test_extended_solve_only_after_a_miss_within_rounding(self,
+                                                              monkeypatch):
+        """At the target, an extended-precision restricted solve follows
+        only a float64 point that keeps every sign and misses tol_kkt by no
+        more than its rounding bound.  This instance (n = 36, p = 8, from
+        the recipe of 150 small random instances) meets the two other
+        float64 outcomes at the target: a sign flip and a miss beyond the
+        bound."""
+        inst = xl.gen_instance(36, 8, k=2, s=7, sigma=0.1, seed=93)
+        lam_b, lam_e = 0.050485337628895274, 0.0170302926770098
+        X, y = inst.X, inst.y
+        col_sq, abs_y = np.einsum("ij,ij->j", X, X), np.abs(y)
+        tol = solver.SolverConfig().tol_kkt
+        outcomes = []  # per restricted solve at the target
+        real = solver.restricted_solution
+
+        def outcome(b, ee, dtype, anchor_beta, anchor_e):
+            if dtype is not np.float64:
+                return "extended"
+            if solver._sign_key(b, ee) != solver._sign_key(anchor_beta,
+                                                           anchor_e):
+                return "flip"
+            kkt = solver._joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
+            err = solver._float64_rounding_error(X, abs_y, col_sq, b, ee,
+                                                 lam_b, lam_e)
+            return "beyond" if kkt - err > tol else "within"
+
+        def restricted_solution(instance, T, S, lb, le, **kwargs):
+            out = real(instance, T, S, lb, le, **kwargs)
+            if (lb, le) == (lam_b, lam_e):
+                outcomes.append(outcome(*out[2:], **kwargs))
+            return out
+
+        monkeypatch.setattr(solver, "restricted_solution",
+                            restricted_solution)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        assert {"flip", "beyond"} <= set(outcomes)
+        assert all(before == "within" for before, kind
+                   in zip([None] + outcomes, outcomes) if kind == "extended")
+        assert sol.converged
+        assert xl.kkt_check(inst, sol).certified
+
 
 class TestWorkingSet:
     @settings(max_examples=100, deadline=None, derandomize=True)

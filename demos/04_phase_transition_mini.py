@@ -30,17 +30,23 @@ common = dict(p_list=(128,), regimes=("sublinear",),
               theta_grid=(0.25, 0.75, 1.5, 2.5, 3.5), trials=20,
               sigma=0.1, master_seed=7)
 
-for label, extra in (("floorless", {}),
-                     ("floored", {"floor_beta": "f_beta", "floor_e": "f_e"})):
-    cfg = SweepConfig(**common, **extra)
-    result = run_sweep(cfg, n_workers=2,
-                       progress=lambda d, t: print(f"  {label}: {d}/{t}",
-                                                   file=sys.stderr))
-    print(f"\n{label} magnitudes:")
-    print("  theta    n     success  beta-only  e-only")
-    for cell in result.cells:
-        print(f"  {cell.theta:5.2f} {cell.n:6d} {cell.success_rate:8.2f}"
-              f" {cell.successes_beta / cell.trials:10.2f}"
-              f" {cell.successes_e / cell.trials:8.2f}")
-    paths = emit_curves(result, f"sweep_output_{label}", fmt="svg-data")
-    print(f"  wrote {[str(p) for p in paths]}")
+
+def main():
+    floored = {"floor_beta": "f_beta", "floor_e": "f_e"}
+    for label, extra in (("floorless", {}), ("floored", floored)):
+        cfg = SweepConfig(**common, **extra)
+        result = run_sweep(cfg, n_workers=2,
+                           progress=lambda d, t: print(f"  {label}: {d}/{t}",
+                                                       file=sys.stderr))
+        print(f"\n{label} magnitudes:")
+        print("  theta    n     success  beta-only  e-only")
+        for cell in result.cells:
+            print(f"  {cell.theta:5.2f} {cell.n:6d} {cell.success_rate:8.2f}"
+                  f" {cell.successes_beta / cell.trials:10.2f}"
+                  f" {cell.successes_e / cell.trials:8.2f}")
+        paths = emit_curves(result, f"sweep_output_{label}", fmt="svg-data")
+        print(f"  wrote {[str(p) for p in paths]}")
+
+
+if __name__ == "__main__":  # the sweep's worker processes import this file
+    main()

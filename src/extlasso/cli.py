@@ -274,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("config", help="JSON SweepConfig file")
     sw.add_argument("output_dir")
     sw.add_argument("--workers", type=int, default=1,
-                    help="worker processes; with N > 1 on a small machine "
-                         "set OPENBLAS_NUM_THREADS=1, or the workers' BLAS "
-                         "threads oversubscribe the cores")
+                    help="worker processes, each with one BLAS thread")
     sw.add_argument("--format", default="csv", choices=("csv", "svg-data"))
     sw.add_argument("--dump-instance", default=None, metavar="DIR",
                     help="also write each cell's first-trial instance JSON")

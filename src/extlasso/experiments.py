@@ -14,6 +14,7 @@ order, so results are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, is_dataclass
 from multiprocessing import get_context
@@ -251,20 +252,34 @@ def _aggregate(cfg: SweepConfig, cells, records) -> SweepResult:
     return SweepResult(schema=RESULT_SCHEMA, config=cfg_dict, cells=out)
 
 
+def _worker_pool(n_workers: int):
+    """A pool of n_workers fresh (spawned) processes with one BLAS thread
+    each, so that the workers do not oversubscribe the cores.  The thread
+    variables are set to 1 in the environment the workers start with, before
+    they import numpy, and restored in this process."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ.update(dict.fromkeys(names, "1"))
+    try:
+        return get_context("spawn").Pool(processes=n_workers)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def run_sweep(cfg: SweepConfig, n_workers: int = 1,
               progress=None) -> SweepResult:
     """Run every (cell, trial) and aggregate; deterministic in master_seed.
 
-    n_workers > 1 forks that many processes, and each keeps a BLAS thread
-    pool sized to the whole machine.  On a small machine set
-    OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1) before Python starts, or
-    the pooled sweep oversubscribes the cores and runs slower than a serial
-    one once n reaches the thousands.
+    n_workers > 1 runs the trials on a _worker_pool of that many processes.
     """
     cells = cfg.cells()
     tasks = [(cfg, cell, t) for cell in cells for t in range(cfg.trials)]
     records = []
-    with (get_context("fork").Pool(processes=n_workers) if n_workers > 1
+    with (_worker_pool(n_workers) if n_workers > 1
           else nullcontext()) as pool:
         results = (map(_trial_task, tasks) if pool is None
                    else pool.imap_unordered(_trial_task, tasks, chunksize=4))

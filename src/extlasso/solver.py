@@ -20,19 +20,26 @@ lambda_e lets the corruption block absorb the entire residual and stalls
 the alternation, while warm-started supports contract at a linear rate.
 Coordinate descent only has to find the signed supports (T, S); the point
 on them comes from one restricted step (continuation, shrinkage, then a
-subspace solve, as in FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  Once the
-signs of (beta, e) are the same at two in-loop KKT checks, the restricted
-closed form on them at the lambdas being solved is tried, and it ends the
-call if it passes; at the target lambdas it is also tried when a check
-finds the iterate within tol_kkt.  It runs in float64 and must keep every
-sign.  On the path levels, which run to a loose 1e-6, it must also not
-raise the objective and meet the level's tolerance.  At the target it must
-certify, its full KKT residual at most tol_kkt with room for the float64
-rounding; only a miss within that rounding is solved again, in extended
-precision (float80 on x86): one ulp of a unit-scale coordinate moves the
-scaled dual by ~2e-16/lambda.  The target is solved in a bounded number of
-windows, each with a fresh stall count; if none certifies, converged=False
-is returned.
+subspace solve, as in FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  At the
+first sweep that leaves the signs of (beta, e) as the sweep before left
+them, the restricted closed form on them at the lambdas being solved is
+tried, and it ends the call if it passes; at the target lambdas it is also
+tried when a KKT check finds the iterate within tol_kkt.  It runs in
+float64 and must keep every sign.  On the path levels, which run to a loose
+1e-6, it must also not raise the objective and meet the level's tolerance.
+At the target it must certify, its full KKT residual at most tol_kkt with
+room for the float64 rounding; only a miss within that rounding is solved
+again, in extended precision (float80 on x86): one ulp of a unit-scale
+coordinate moves the scaled dual by ~2e-16/lambda.  The target is solved in
+a bounded number of windows, each with a fresh stall count; if none
+certifies, converged=False is returned.
+
+A sweep costs only what its supports need: the beta sweep touches the
+columns of the working set, the e-step evaluates its kink guard only on
+rows near the threshold, and residuals formed from scratch at a restricted
+point use the support columns of beta only.  The full X'r, O(np), is
+formed only where a KKT residual needs it: at the in-loop checks, every
+_KKT_REFRESH sweeps, and at a restricted point.
 """
 from __future__ import annotations
 
@@ -85,21 +92,20 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
     system: |z_i - sgn x_i| on the supports, and |z_i| off them for the beta
     block and for the e block.
 
-    Without r, the residual is computed here; for an extended-precision beta
-    X is converted _ROWS rows at a time, so no such copy of X is made."""
+    Without r, the residual is formed here from the support columns of
+    beta; for an extended-precision beta X'r then converts X _ROWS rows at a
+    time, so no such copy of X is made."""
     dt = beta.dtype
     n = X.shape[0]
     rn = np.sqrt(dt.type(n))
     if r is None:
-        rows = n if X.dtype == dt else _ROWS
-        r = np.empty(n, dtype=dt)
-        g = np.zeros(X.shape[1], dtype=dt)
-        for i in range(0, n, rows):
-            Xc = X[i:i + rows].astype(dt, copy=False)
-            r[i:i + rows] = y[i:i + rows] - Xc @ beta - rn * e[i:i + rows]
-            g += Xc.T @ r[i:i + rows]
-    else:
+        r = _residual(X, y, beta, e, np.flatnonzero(beta))
+    if X.dtype == dt:
         g = X.T @ r
+    else:
+        g = np.zeros(X.shape[1], dtype=dt)
+        for i in range(0, n, _ROWS):
+            g += X[i:i + _ROWS].astype(dt).T @ r[i:i + _ROWS]
     duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
     on_worst, off = 0.0, []
     for z, v in zip(duals, (beta, e)):
@@ -108,6 +114,14 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
                                               initial=0.0)))
         off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
     return duals, on_worst, off[0], off[1]
+
+
+def _residual(X, y, beta, e, T):
+    """y - X beta - sqrt(n) e in the dtype of beta, where beta is zero off
+    the columns T: O(n |T|) work."""
+    dt = beta.dtype
+    rn = np.sqrt(dt.type(X.shape[0]))
+    return y - X[:, T].astype(dt, copy=False) @ beta[T] - rn * e
 
 
 def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
@@ -132,6 +146,33 @@ def _float64_rounding_error(X, abs_y, col_sq, beta, e, lam_b, lam_e):
     col = math.sqrt(float(np.max(col_sq, initial=0.0)))
     return max(col * float(np.linalg.norm(err_r)) / (n * lam_b),
                float(np.max(err_r)) / (math.sqrt(n) * lam_e))
+
+
+def _e_step(X, r, beta, e, lam_e, abs_y, y_max, col_norm):
+    """The exact e-update at the residual r of (beta, e): u = (y - X beta) /
+    sqrt(n) soft-thresholded at lam_e, with ties resolved to zero.
+
+    The residual is a difference of large quantities, so the kink is widened
+    by a guard, _KINK_GUARD_ULPS ulps of |y| + |X| |beta| + sqrt(n) |e| per
+    row (over sqrt(n)); otherwise 1-ulp noise would activate rows that sit
+    exactly at the threshold (e.g. designs collinear with the corruption
+    block).  The guard is evaluated only on the rows that clear the
+    threshold by at most twice the bound y_max + sum_j ||X_j|| |beta_j| +
+    sqrt(n) max |e| on every row's sum (y_max = max |y|, col_norm the column
+    norms of X); every other row is decided by the sign of its margin."""
+    rn = math.sqrt(X.shape[0])
+    guard_scale = _KINK_GUARD_ULPS * float(np.finfo(np.float64).eps) / rn
+    u = (r + rn * e) / rn
+    mag = np.abs(u) - lam_e
+    g_max = 2.0 * guard_scale * (y_max + float(col_norm @ np.abs(beta))
+                                 + rn * float(np.max(np.abs(e), initial=0.0)))
+    keep = mag > g_max
+    band = np.flatnonzero((mag > 0) != keep)
+    if band.size:
+        guard = guard_scale * (abs_y[band] + _abs_X_beta(X, beta)[band]
+                               + rn * np.abs(e[band]))
+        keep[band] = mag[band] > guard
+    return np.where(keep, np.copysign(mag, u), 0.0)
 
 
 def _working_set(beta, z_b):
@@ -159,12 +200,13 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
     _KKT_REFRESH sweeps and on the last, is at most tol, when progress
     stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
     nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
-    also stops at a restricted step: when a check above tol finds the same
-    signs of (beta, e) as the check before, or with exact a check at or
-    below tol, _restricted_step tries the restricted closed form on those
-    signed supports, under the path-level rule or, with exact, the
-    certification rule, and the loop ends at that point if it passes.  A
-    sign pattern whose step failed is not tried again in the same call.
+    also stops at a restricted step: when a sweep ends with the same signs
+    of (beta, e) as the sweep before (an O(n + p) comparison), or with
+    exact at a check at or below tol, _restricted_step tries the restricted
+    closed form on those signed supports, under the path-level rule or,
+    with exact, the certification rule, and the loop ends at that point if
+    it passes.  A sign pattern whose step failed is not tried again in the
+    same call.
     Returns (beta, e, kkt, sweeps): kkt is the accepted step's KKT residual,
     or None when no step was accepted; sweeps counts beta sweeps, not
     restricted solves.
@@ -174,14 +216,16 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
     rn = math.sqrt(n)
     nlam_b = n * lam_b
     r = y - X @ beta - rn * e
-    # Soft-threshold ties resolve to zero.  The residual is a difference of
-    # large quantities, so the kink must be widened by the rounding scale of
-    # what was subtracted or 1-ulp noise would activate coordinates that sit
-    # exactly at the threshold (e.g. designs collinear with the corruption
-    # block).
-    guard_scale = _KINK_GUARD_ULPS * float(np.finfo(np.float64).eps) / rn
+    col_norm = np.sqrt(col_sq)
+    y_max = float(np.max(abs_y, initial=0.0))
+    cs, bl = col_sq.tolist(), beta.tolist()  # Python floats for the sweeps
+    delta = np.empty(n)  # the residual change of one coordinate update
 
-    W = _working_set(beta, X.T @ r / nlam_b)
+    def working(W):
+        # (index, column view, squared norm) of each nonzero column of W
+        return [(j, X[:, j], cs[j]) for j in W if cs[j] != 0.0]
+
+    work = working(_working_set(beta, X.T @ r / nlam_b))
     prev_obj = residual_objective(r, beta, e, lam_b, lam_e)
     best_kkt = math.inf
     stall = 0
@@ -190,23 +234,17 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
         # beta first: on designs collinear with the corruption block the
         # shared mass then settles on the regression side, matching the
         # tie-to-zero convention for e.
-        for j in W:
-            cj = col_sq[j]
-            if cj == 0.0:
-                continue
-            bj = beta[j]
-            rho = X[:, j] @ r + cj * bj
+        for j, xj, cj in work:
+            bj = bl[j]
+            rho = float(xj.dot(r)) + cj * bj
             mag = abs(rho) - nlam_b
             bj_new = math.copysign(mag, rho) / cj if mag > 0 else 0.0
             if bj_new != bj:
-                r += X[:, j] * (bj - bj_new)
-                beta[j] = bj_new
+                r += np.multiply(xj, bj - bj_new, out=delta)
+                beta[j] = bl[j] = bj_new
 
         # exact e-update: minimizer over e alone is soft((y - X beta)/rn, lam_e)
-        u = (r + rn * e) / rn
-        guard = guard_scale * (abs_y + _abs_X_beta(X, beta) + rn * np.abs(e))
-        mag = np.abs(u) - lam_e
-        e_new = np.where(mag > guard, np.sign(u) * mag, 0.0)
+        e_new = _e_step(X, r, beta, e, lam_e, abs_y, y_max, col_norm)
         r += rn * (e - e_new)
         e = e_new
 
@@ -221,22 +259,24 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
                 f"objective increased by {obj - prev_obj:.3e} in sweep {sweeps}"
             )
 
-        improved = False
-        if sweeps % _KKT_REFRESH == 0 or sweeps == max_sweeps:
+        prev, signs = signs, _sign_key(beta, e)
+        check = sweeps % _KKT_REFRESH == 0 or sweeps == max_sweeps
+        if check:
             (z_b, _), on, off_b, off_e = _scaled_duals(X, y, beta, e, lam_b,
                                                        lam_e, r=r)
             kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
-            done = kkt <= tol
-            prev, signs = signs, _sign_key(beta, e)
-            if (exact if done else signs == prev) and signs not in failed:
-                step = _restricted_step(instance, beta, e, lam_b, lam_e, tol,
-                                        obj, col_sq, abs_y, exact)
-                if step is not None:
-                    return (*step, sweeps)
-                failed.add(signs)
-            if done:
-                break
-            W = _working_set(beta, z_b)
+        done = check and kkt <= tol
+        if (signs == prev or exact and done) and signs not in failed:
+            step = _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj,
+                                    col_sq, abs_y, exact)
+            if step is not None:
+                return (*step, sweeps)
+            failed.add(signs)
+        if done:
+            break
+        improved = False
+        if check:
+            work = working(_working_set(beta, z_b))
             if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
                 best_kkt = kkt
                 stall = 0
@@ -292,7 +332,7 @@ def _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj, col_sq, abs_y,
     if point is None:
         return None
     b, ee = point
-    r = y - X @ b - math.sqrt(X.shape[0]) * ee
+    r = _residual(X, y, b, ee, T)
     kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
     if not exact:
         ok = kkt <= tol and residual_objective(r, b, ee, lam_b, lam_e) <= obj
@@ -413,8 +453,9 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
 
     and returns (h_T, g_S, beta_hat, e_hat) with beta_hat = beta~ + h on T
     (zero off T) and e_hat = e~ + g on S (zero off S), in the order of T
-    and S.  The anchor defaults to the instance truth.  Only the columns of
-    X in T are converted to dtype.
+    and S.  The anchor defaults to the instance truth.  The columns of X in
+    T are gathered (and converted to dtype) once, and both row blocks are
+    taken from them.
     """
     if lam_b < 0 or lam_e < 0:
         raise InputError("lam_b and lam_e must be >= 0")
@@ -439,13 +480,13 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
     sign_e = np.sign(anchor_S)
 
     rn = np.sqrt(dtype(n))
-    w_eff = y - X[:, T].astype(dtype, copy=False) @ anchor_T
+    XT = X[:, T].astype(dtype, copy=False)
+    w_eff = y - XT @ anchor_T
     w_eff[S] -= rn * anchor_S
     mask = np.ones(n, dtype=bool)
     mask[S] = False
     Sc = np.flatnonzero(mask)
-    XScT = X[np.ix_(Sc, T)].astype(dtype, copy=False)
-    XST = X[np.ix_(S, T)].astype(dtype, copy=False)
+    XScT, XST = XT[Sc], XT[S]
 
     if k > 0:
         sv = np.linalg.svd(XScT.astype(np.float64), compute_uv=False)

@@ -1,11 +1,11 @@
 """Session-wide test setup, loaded by pytest before any test module."""
 import os
 
-# Pooled sweeps (run_sweep with n_workers > 1) fork one process per worker,
-# and each forked worker keeps an OpenBLAS thread pool sized to the whole
-# machine.  With 4 or 8 workers on a 2-core host those threads oversubscribe
-# the cores, and at n in the thousands a pooled sweep runs slower than a
-# serial one.  One BLAS thread per process is set here, before numpy is
-# first imported; a value already in the environment is kept.
+# The criterion-2 fixture forks its own worker processes, and each forked
+# worker keeps this process's OpenBLAS thread pool, sized to the whole
+# machine; on a 2-core host those threads oversubscribe the cores.  (Pooled
+# sweeps, run_sweep with n_workers > 1, start their workers with one BLAS
+# thread themselves.)  One BLAS thread per process is set here, before numpy
+# is first imported; a value already in the environment is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

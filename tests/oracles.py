@@ -11,6 +11,11 @@ does not need at run time.
   over-estimate it.
 - soft_threshold is the proximal map of the l1 norm, used by the tests'
   FISTA oracle.
+- e_step_full_guard and scaled_duals_all_columns are the solver's e-update
+  and scaled duals as they were before their work was cut to what the
+  supports need: the kink guard evaluated on every row, and the residual
+  y - X beta - sqrt(n) e summed over every column of X.  The solver must
+  reproduce both bit for bit.
 """
 from __future__ import annotations
 
@@ -28,6 +33,45 @@ def soft_threshold(x, t):
     """Soft-thresholding; values exactly at the kink resolve to 0."""
     mag = np.abs(x) - t
     return np.where(mag > 0, np.sign(x) * mag, 0.0 * x)
+
+
+def e_step_full_guard(X, r, beta, e, lam_e, abs_y):
+    """soft((r + sqrt(n) e) / sqrt(n), lam_e) with every row's margin
+    compared with its kink guard, 16 ulps of |y| + |X| |beta| + sqrt(n) |e|
+    over sqrt(n)."""
+    rn = math.sqrt(X.shape[0])
+    guard_scale = 16.0 * float(np.finfo(np.float64).eps) / rn
+    u = (r + rn * e) / rn
+    T = np.flatnonzero(beta)
+    guard = guard_scale * (abs_y + np.abs(X[:, T]) @ np.abs(beta[T])
+                           + rn * np.abs(e))
+    mag = np.abs(u) - lam_e
+    return np.where(mag > guard, np.sign(u) * mag, 0.0)
+
+
+def scaled_duals_all_columns(X, y, beta, e, lam_b, lam_e, rows=1024):
+    """The scaled duals (X'r / (n lam_b), r / (sqrt(n) lam_e)) and the
+    largest violations (on the supports, off them for beta, for e), with
+    r = y - X beta - sqrt(n) e over all columns of X, in the dtype of beta;
+    for an extended-precision beta X is converted `rows` rows at a time."""
+    dt = beta.dtype
+    n = X.shape[0]
+    rn = np.sqrt(dt.type(n))
+    rows = n if X.dtype == dt else rows
+    r = np.empty(n, dtype=dt)
+    g = np.zeros(X.shape[1], dtype=dt)
+    for i in range(0, n, rows):
+        Xc = X[i:i + rows].astype(dt, copy=False)
+        r[i:i + rows] = y[i:i + rows] - Xc @ beta - rn * e[i:i + rows]
+        g += Xc.T @ r[i:i + rows]
+    duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
+    on_worst, off = 0.0, []
+    for z, v in zip(duals, (beta, e)):
+        on = v != 0
+        on_worst = max(on_worst, float(np.max(np.abs(z[on] - np.sign(v[on])),
+                                              initial=0.0)))
+        off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
+    return duals, on_worst, off[0], off[1]
 
 
 def _cone_ratio(X, h, f):

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import extlasso as xl
+from extlasso import experiments
 from extlasso.experiments import (SweepConfig, curve_rows, emit_curves,
                                   run_sweep, run_trial,
                                   sweep_config_from_dict,
@@ -87,6 +89,15 @@ class TestSweep:
         seq = run_sweep(cfg, n_workers=1)
         par = run_sweep(cfg, n_workers=3)
         assert sweep_result_to_dict(seq) == sweep_result_to_dict(par)
+
+    def test_pooled_workers_get_one_blas_thread(self, monkeypatch):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.setenv(name, "2")
+        with experiments._worker_pool(2) as pool:
+            seen = pool.map(os.getenv, names, chunksize=1)
+        assert seen == ["1"] * len(names)
+        assert [os.environ[name] for name in names] == ["2"] * len(names)
 
     def test_cell_bookkeeping(self):
         cfg = tiny_config()

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import extlasso as xl
 from extlasso import solver
 from extlasso.model import GroundTruth, ProblemInstance
-from oracles import soft_threshold
+from oracles import (e_step_full_guard, scaled_duals_all_columns,
+                     soft_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +511,8 @@ class TestLevelStep:
         """AR(1) design with rho = 0.8: coordinate 1 is on the support at an
         early path level and off it at the end.  The restricted solve on
         the support that still holds it flips its sign, so that step is
-        rejected, and the solve still certifies."""
+        rejected (as is every other step that flips a sign), and the solve
+        still certifies."""
         spec = xl.CovarianceSpec("ar1", p=9, rho=0.8)
         inst = xl.gen_instance(57, 9, k=3, s=5, sigma=0.1, spec=spec, seed=7)
         lam_b, lam_e = 3e-3, 2e-3
@@ -529,12 +531,33 @@ class TestLevelStep:
         monkeypatch.setattr(solver, "_restricted_step", restricted_step)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
         flips = [(flipped, out) for flipped, out in tries if len(flipped)]
-        assert [flipped.tolist() for flipped, _ in flips] == [[1]]
+        assert 1 in {j for flipped, _ in flips for j in flipped.tolist()}
         assert all(out is None for _, out in flips)
         assert any(out is not None for _, out in tries)
         assert sol.beta_hat[1] == 0.0
         assert sol.converged
         assert xl.kkt_check(inst, sol).certified
+
+    def test_level_ends_before_the_eighth_sweep(self, monkeypatch):
+        """The step is tried at the first sweep that repeats the signs, not
+        only at KKT checks, so on the benchmark's noiseless instance some
+        path level ends by an accepted step before its 8th sweep."""
+        inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
+        lam_b = 5e-9
+        ends = []  # per path level: (an accepted step's kkt or None, sweeps)
+        real_bcd = solver._bcd
+
+        def bcd(*args):
+            out = real_bcd(*args)
+            if not args[-1]:
+                ends.append((out[2], out[3]))
+            return out
+
+        monkeypatch.setattr(solver, "_bcd", bcd)
+        sol = xl.solve_extended_lasso(inst, lam_b,
+                                      lam_b / math.sqrt(math.log(64)))
+        assert any(kkt is not None and sweeps < 8 for kkt, sweeps in ends)
+        assert sol.converged
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(n=st.integers(8, 80), p=st.integers(2, 64), k=st.integers(1, 4),
@@ -572,6 +595,78 @@ class TestLevelStep:
                 before + 1e-12 * max(1.0, abs(before))
             assert solver._joint_kkt_residual(inst.X, inst.y, b, ee, lb,
                                               le) <= tol
+
+
+class TestSupportSizedWork:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([16, 64, 256]), p=st.integers(1, 8),
+           k=st.integers(0, 8), log_lam=st.floats(-9.0, 1.0),
+           log_y=st.floats(-3.0, 8.0), log_beta=st.floats(-3.0, 6.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_screened_e_step_equals_full_guard(self, n, p, k, log_lam, log_y,
+                                               log_beta, seed):
+        """The e-step that evaluates the kink guard only near the threshold
+        equals the guard on every row bit for bit.  Rows are placed exactly
+        at lam_e, 1 ulp either side of it, and a few rounding scales above
+        it (sqrt(n) is a power of two, so u = (r + sqrt(n) e) / sqrt(n) is
+        exact there)."""
+        rng = np.random.default_rng(seed)
+        rn = math.sqrt(n)
+        lam_e = 10.0 ** log_lam
+        X = np.asfortranarray(rng.standard_normal((n, p)))
+        beta = np.zeros(p)
+        T = rng.choice(p, size=min(k, p), replace=False)
+        beta[T] = rng.choice([-1.0, 1.0], len(T)) * 10.0 ** (
+            log_beta * rng.uniform(size=len(T)))
+        abs_y = 10.0 ** log_y * rng.uniform(size=n)
+        e = np.where(rng.uniform(size=n) < 0.5, 0.0,
+                     rng.standard_normal(n) * 10.0 ** log_y)
+        r = rng.standard_normal(n) * lam_e * rn
+        up, down = np.nextafter(lam_e, np.inf), np.nextafter(lam_e, 0.0)
+        guard = 16.0 * float(np.finfo(np.float64).eps) * 10.0 ** log_y / rn
+        targets = [lam_e, up, down, lam_e + guard, lam_e + 0.5 * guard,
+                   lam_e + 4.0 * guard]
+        for i, t in enumerate(targets + [-t for t in targets]):
+            if i % 2:  # u from the residual alone, or from e alone
+                r[i], e[i] = t * rn, 0.0
+            else:
+                r[i], e[i] = 0.0, t
+        got = solver._e_step(X, r, beta, e, lam_e, abs_y,
+                             float(np.max(abs_y)),
+                             np.sqrt(np.einsum("ij,ij->j", X, X)))
+        want = e_step_full_guard(X, r, beta, e, lam_e, abs_y)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2100), p=st.integers(1, 12),
+           k=st.integers(0, 12), s_frac=st.floats(0.0, 1.0),
+           log_scale=st.floats(-9.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2100, p=12, k=5, s_frac=0.5, log_scale=-9.0, seed=1)
+    def test_extended_scaled_duals_equal_all_columns(self, n, p, k, s_frac,
+                                                     log_scale, seed):
+        """In extended precision, the scaled duals with the residual formed
+        from the support columns of beta equal the all-columns evaluation
+        bit for bit, across several _ROWS blocks of X'r."""
+        rng = np.random.default_rng(seed)
+        X = np.asfortranarray(rng.standard_normal((n, p)))
+        beta = np.zeros(p, dtype=np.longdouble)
+        T = rng.choice(p, size=min(k, p), replace=False)
+        beta[T] = rng.standard_normal(len(T))
+        beta[T] += np.longdouble(1e-19) * rng.standard_normal(len(T))
+        e = np.zeros(n, dtype=np.longdouble)
+        S = rng.choice(n, size=int(s_frac * n), replace=False)
+        e[S] = rng.standard_normal(len(S))
+        y = X @ beta.astype(np.float64) + math.sqrt(n) * e.astype(
+            np.float64) + 10.0 ** log_scale * rng.standard_normal(n)
+        lam_b, lam_e = 10.0 ** log_scale, 0.5 * 10.0 ** log_scale
+        (zb, ze), *rest = solver._scaled_duals(X, y, beta, e, lam_b, lam_e)
+        (zb0, ze0), *rest0 = scaled_duals_all_columns(X, y, beta, e, lam_b,
+                                                      lam_e)
+        for got, want in ((zb, zb0), (ze, ze0)):
+            assert got.dtype == want.dtype == np.longdouble
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert rest == rest0
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@
 
 and for its restriction to fixed supports (closed form).
 
-The solver alternates one sweep of cyclic coordinate descent on beta with
-an exact e-update (the e-subproblem is separable soft-thresholding).  Each
-beta sweep visits only a working set W: the support of beta plus every
-zero coordinate whose scaled dual |X_j'r|/(n lambda_beta) is at least 1,
-since any other zero coordinate would be left at zero by its own update.
+The joint solver settles each lambda level with active-set steps on signed
+supports (below) and falls back to coordinate descent, which is also the
+kernel of solve_standard_lasso: one sweep of cyclic coordinate descent on
+beta alternates with an exact e-update (the e-subproblem is separable
+soft-thresholding).  Each beta sweep visits only a working set W: the
+support of beta plus every zero coordinate whose scaled dual
+|X_j'r|/(n lambda_beta) is at least 1, since any other zero coordinate
+would be left at zero by its own update.
 W is formed when a level starts and refreshed from the scaled duals of the
 in-loop KKT check, which still covers all p coordinates, so when a level
 stops and what it certifies do not depend on W.
@@ -18,21 +21,23 @@ Every solve starts from zero and drives regularization down a geometric
 lambda path (largest lambda first, warm starts): a cold start at very small
 lambda_e lets the corruption block absorb the entire residual and stalls
 the alternation, while warm-started supports contract at a linear rate.
-Coordinate descent only has to find the signed supports (T, S); the point
-on them comes from one restricted step (continuation, shrinkage, then a
-subspace solve, as in FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  At the
-first sweep that leaves the signs of (beta, e) as the sweep before left
-them, the restricted closed form on them at the lambdas being solved is
-tried, and it ends the call if it passes; at the target lambdas it is also
-tried when a KKT check finds the iterate within tol_kkt.  It runs in
-float64 and must keep every sign.  On the path levels, which run to a loose
-1e-6, it must also not raise the objective and meet the level's tolerance.
-At the target it must certify, its full KKT residual at most tol_kkt with
-room for the float64 rounding; only a miss within that rounding is solved
-again, in extended precision (float80 on x86): one ulp of a unit-scale
-coordinate moves the scaled dual by ~2e-16/lambda.  The target is solved in
-a bounded number of windows, each with a fresh stall count; if none
-certifies, converged=False is returned.
+The point on the signed supports (T, S) comes from the restricted closed
+form (continuation, then a subspace solve, as in FPC_AS, Wen, Yin, Goldfarb
+& Zhang 2010), and the supports from primal-dual active-set steps
+(Hintermueller, Ito & Kunisch 2002; _active_set_step): every level and
+target window starts with one from the current point, and coordinate
+descent runs only when it fails.  Its point must keep the signs it was
+solved for; on the path levels, which run to a loose 1e-6, it must also not
+raise the objective and meet the level's tolerance, and at the target it
+must certify, with room for its float64 rounding.  Only a miss within that
+rounding is solved again, in extended precision (float80 on x86): one ulp
+of a unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  The
+target is solved in a bounded number of windows, each with a fresh stall
+count; if none certifies, converged=False is returned.
+
+The restricted system is the k x k Gram matrix G = X'_{ScT} X_{ScT} of the
+normal equations, so its gate is cond(G) <= _MAX_COND (1e12, from the
+eigenvalues of G), i.e. cond(X_{ScT}) <= 1e6.
 
 A sweep costs only what its supports need: the beta sweep touches the
 columns of the working set, the e-step evaluates its kink guard only on
@@ -63,6 +68,7 @@ _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
 _FINISH_RETRIES = 3  # target windows after the target path level
+_STEP_SOLVES = 8  # restricted solves one active-set step may make
 _ROWS = 1024  # rows of X converted to extended precision at a time
 _PATH_STEPS_PER_DECADE = 3
 
@@ -188,7 +194,7 @@ def _sign_key(beta, e):
 
 
 def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
-         exact):
+         exact, failed):
     """Alternating beta-sweep / e-step loop in float64.
 
     Each beta sweep runs cyclic coordinate descent over the working set
@@ -200,13 +206,13 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
     _KKT_REFRESH sweeps and on the last, is at most tol, when progress
     stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
     nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
-    also stops at a restricted step: when a sweep ends with the same signs
-    of (beta, e) as the sweep before (an O(n + p) comparison), or with
-    exact at a check at or below tol, _restricted_step tries the restricted
-    closed form on those signed supports, under the path-level rule or,
-    with exact, the certification rule, and the loop ends at that point if
-    it passes.  A sign pattern whose step failed is not tried again in the
-    same call.
+    also stops at an active-set step: when a sweep ends with the same signs of
+    (beta, e) as the sweep before (an O(n + p) comparison), or with exact
+    at a check at or below tol, _active_set_step starts from those signed
+    supports, under the path-level rule or, with exact, the certification
+    rule, and the loop ends at its point if it is accepted.  failed holds
+    the starts whose step failed at these lambdas in this solve; they are
+    not tried again.
     Returns (beta, e, kkt, sweeps): kkt is the accepted step's KKT residual,
     or None when no step was accepted; sweeps counts beta sweeps, not
     restricted solves.
@@ -229,7 +235,7 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
     prev_obj = residual_objective(r, beta, e, lam_b, lam_e)
     best_kkt = math.inf
     stall = 0
-    signs, failed = None, set()
+    signs = None
     for sweeps in range(1, max_sweeps + 1):
         # beta first: on designs collinear with the corruption block the
         # shared mass then settles on the regression side, matching the
@@ -266,12 +272,11 @@ def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
                                                        lam_e, r=r)
             kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
         done = check and kkt <= tol
-        if (signs == prev or exact and done) and signs not in failed:
-            step = _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj,
-                                    col_sq, abs_y, exact)
+        if signs == prev or exact and done:
+            step = _active_set_step(instance, beta, e, lam_b, lam_e, tol,
+                                    col_sq, abs_y, exact, failed)
             if step is not None:
                 return (*step, sweeps)
-            failed.add(signs)
         if done:
             break
         improved = False
@@ -300,51 +305,94 @@ def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
             for t in range(1, steps + 1)]
 
 
-def _restricted_step(instance, beta, e, lam_b, lam_e, tol, obj, col_sq, abs_y,
-                     exact):
-    """restricted_solution on the signed supports of the iterate (beta, e)
-    at (lam_b, lam_e), anchored there.  Returns the accepted point and its
-    full KKT residual as (b, e, kkt), or None.
+def _active_set_step(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y,
+                     exact, failed):
+    """Primal-dual active-set steps on signed supports at (lam_b, lam_e),
+    from the signs of (beta, e).  Returns the accepted point and its full
+    KKT residual as (b, e, kkt), or None.
 
-    The point is solved in float64; a singular system or a point that flips
-    any sign of the iterate gives None.  On a path level (not exact) it is
+    Each iteration solves the restricted system on the current signed
+    supports in float64, drops every on-support coordinate whose sign
+    flips, and adds every off-support coordinate (of beta or of e) whose
+    scaled dual exceeds 1 + tol, with the dual's sign.  When nothing
+    changes, the point is judged.  On a path level (not exact) it is
     accepted if its KKT residual is at most tol and its objective at most
-    the iterate's obj.  At the target (exact) it must certify, and kkt_check
+    the start's.  At the target (exact) it must certify, and kkt_check
     re-evaluates a float64 point in extended precision, so the residual is
     judged with its float64 rounding bound err: accepted if kkt + err <= tol,
-    None if kkt - err > tol.  Only a miss that rounding can explain is solved
-    once more, in extended precision, and judged on signs and kkt <= tol.
-    There is no objective test at the target: a certified point is optimal.
+    refused if kkt - err > tol.  Only a miss that rounding can explain is
+    solved once more, in extended precision, and judged on signs and
+    kkt <= tol; a certified point needs no objective test.
+
+    The step fails on a singular system, on a signed support that repeats
+    within it, after _STEP_SOLVES solves, or when the point is refused.  The
+    signs of a failed start are added to failed, and a start found there
+    fails at once: the restricted points depend only on the signed supports
+    and the lambdas.
     """
+    start = _sign_key(beta, e)
+    if start in failed:
+        return None
     X, y = instance.X, instance.y
-    T, S, signs = np.flatnonzero(beta), np.flatnonzero(e), _sign_key(beta, e)
-
-    def solve(dt):
+    sb, se = np.sign(beta), np.sign(e)
+    b, ee = beta, e
+    seen = set()
+    for _ in range(_STEP_SOLVES):
+        key = _sign_key(sb, se)
+        if key in seen:
+            break
+        seen.add(key)
+        T, S = np.flatnonzero(sb), np.flatnonzero(se)
         try:
-            _, _, b, ee = restricted_solution(instance, T, S, lam_b, lam_e,
-                                              anchor_beta=beta, anchor_e=e,
-                                              dtype=dt)
+            _, _, b, ee = _restricted_point(X, y, T, S, sb[T], se[S], b[T],
+                                            ee[S], lam_b, lam_e, np.float64)
         except SingularMatrixError:
-            return None
-        return (b, ee) if _sign_key(b, ee) == signs else None
+            break
+        r = _residual(X, y, b, ee, T)
+        (z_b, z_e), on, off_b, off_e = _scaled_duals(X, y, b, ee, lam_b,
+                                                     lam_e, r)
+        new_sb, new_se = (_next_signs(s, v, z, tol)
+                          for s, v, z in ((sb, b, z_b), (se, ee, z_e)))
+        if not (np.array_equal(new_sb, sb) and np.array_equal(new_se, se)):
+            sb, se = new_sb, new_se
+            continue
+        kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
+        if not exact:
+            start_obj = residual_objective(
+                _residual(X, y, beta, e, np.flatnonzero(beta)), beta, e,
+                lam_b, lam_e)
+            if kkt <= tol and \
+                    residual_objective(r, b, ee, lam_b, lam_e) <= start_obj:
+                return b, ee, kkt
+            break
+        err = _float64_rounding_error(X, abs_y, col_sq, b, ee, lam_b, lam_e)
+        if kkt + err <= tol:
+            return b, ee, kkt
+        if kkt - err > tol:
+            break
+        try:
+            point = _restricted_point(X, y, T, S, sb[T], se[S], b[T], ee[S],
+                                      lam_b, lam_e, np.longdouble)[2:]
+        except SingularMatrixError:
+            break
+        if _sign_key(*point) == key:
+            kkt = _joint_kkt_residual(X, y, *point, lam_b, lam_e)
+            if kkt <= tol:
+                return (*point, kkt)
+        break
+    failed.add(start)
+    return None
 
-    point = solve(np.float64)
-    if point is None:
-        return None
-    b, ee = point
-    r = _residual(X, y, b, ee, T)
-    kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
-    if not exact:
-        ok = kkt <= tol and residual_objective(r, b, ee, lam_b, lam_e) <= obj
-        return (b, ee, kkt) if ok else None
-    err = _float64_rounding_error(X, abs_y, col_sq, b, ee, lam_b, lam_e)
-    if kkt + err <= tol:
-        return b, ee, kkt
-    point = solve(np.longdouble) if kkt - err <= tol else None
-    if point is None:
-        return None
-    kkt = _joint_kkt_residual(X, y, *point, lam_b, lam_e)
-    return (*point, kkt) if kkt <= tol else None
+
+def _next_signs(signs, x, z, tol):
+    """The signs of the next active-set iteration: an on-support coordinate
+    of the restricted point x whose sign differs from signs leaves, and an
+    off-support one whose scaled dual z exceeds 1 + tol in magnitude enters
+    with sgn z."""
+    out = np.where(np.sign(x) == signs, signs, 0.0)
+    enter = (signs == 0) & (np.abs(z) > 1.0 + tol)
+    out[enter] = np.sign(z[enter])
+    return out
 
 
 def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
@@ -369,20 +417,30 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
 
     # the path levels run to path_tol; the target runs to tol_kkt in its
     # path level and _FINISH_RETRIES more windows, each with a fresh stall
-    # count, and the solve ends at the first certified restricted step
+    # count, and the solve ends at the first certified step.  Every level
+    # and window starts with an active-set step from the current point, and
+    # coordinate descent runs only when it fails; the failed starts are kept
+    # per lambda pair for the whole solve.
     schedule = levels + [(lam_b, lam_e)] * _FINISH_RETRIES
     path_tol = max(cfg.tol_kkt, _PATH_TOL)
+    failed = {}
     total = 0
     budget = cfg.max_iters
     converged = False
     for i, (lb, le) in enumerate(schedule):
         exact = i >= len(levels) - 1
+        tol = cfg.tol_kkt if exact else path_tol
         max_sweeps = budget if exact else min(budget, _LEVEL_SWEEPS)
         if max_sweeps < 1:
             break
-        beta, e, kkt, it = _bcd(instance, lb, le, beta, e,
-                                cfg.tol_kkt if exact else path_tol,
-                                max_sweeps, col_sq, abs_y, exact)
+        tried = failed.setdefault((lb, le), set())
+        step = _active_set_step(instance, beta, e, lb, le, tol, col_sq, abs_y,
+                                exact, tried)
+        if step is None:
+            beta, e, kkt, it = _bcd(instance, lb, le, beta, e, tol,
+                                    max_sweeps, col_sq, abs_y, exact, tried)
+        else:
+            (beta, e, kkt), it = step, 0
         total += it
         budget -= it
         converged = exact and kkt is not None
@@ -415,7 +473,7 @@ def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
     lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
     return _bcd(ProblemInstance(X=X, y=y), lam, float(lam_e), np.zeros(p),
                 np.zeros(n), cfg.tol_kkt, cfg.max_iters,
-                np.einsum("ij,ij->j", X, X), abs_y, False)[0]
+                np.einsum("ij,ij->j", X, X), abs_y, False, set())[0]
 
 
 def _solve_linear(G, rhs):
@@ -453,22 +511,18 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
 
     and returns (h_T, g_S, beta_hat, e_hat) with beta_hat = beta~ + h on T
     (zero off T) and e_hat = e~ + g on S (zero off S), in the order of T
-    and S.  The anchor defaults to the instance truth.  The columns of X in
-    T are gathered (and converted to dtype) once, and both row blocks are
-    taken from them.
+    and S.  The anchor defaults to the instance truth.
+
+    The system solved is the k x k Gram matrix G = X'_{ScT} X_{ScT}, so G is
+    what is gated: SingularMatrixError when |T| > n - |S| or when cond(G)
+    (from its eigenvalues) exceeds _MAX_COND = 1e12, i.e. when
+    cond(X_{ScT}) exceeds 1e6.
     """
     if lam_b < 0 or lam_e < 0:
         raise InputError("lam_b and lam_e must be >= 0")
-    X = instance.X
-    y = instance.y.astype(dtype, copy=False)
-    n, p = X.shape
+    n, p = instance.X.shape
     T = index_array("T", T, p)
     S = index_array("S", S, n)
-    k, s = len(T), len(S)
-    if k > n - s:
-        raise SingularMatrixError(
-            f"restricted system needs |T| <= n - |S| ({k} > {n - s})")
-
     if anchor_beta is None or anchor_e is None:
         if instance.truth is None:
             raise InputError("anchors are required when the instance has no truth")
@@ -476,9 +530,24 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
         anchor_e = instance.truth.e_star
     anchor_T = np.asarray(anchor_beta, dtype=dtype)[T]
     anchor_S = np.asarray(anchor_e, dtype=dtype)[S]
-    sign_beta = np.sign(anchor_T)
-    sign_e = np.sign(anchor_S)
+    return _restricted_point(instance.X, instance.y, T, S, np.sign(anchor_T),
+                             np.sign(anchor_S), anchor_T, anchor_S, lam_b,
+                             lam_e, dtype)
 
+
+def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
+                      lam_b, lam_e, dtype):
+    """restricted_solution's system with explicit signs on T and S (an
+    entering coordinate has anchor 0 and the sign of its dual) and the
+    anchor's entries on T and S, all in the order of T and S, solved in
+    dtype.  The columns of X in T are gathered (and converted to dtype)
+    once, and both row blocks are taken from them."""
+    n, p = X.shape
+    k, s = len(T), len(S)
+    if k > n - s:
+        raise SingularMatrixError(
+            f"restricted system needs |T| <= n - |S| ({k} > {n - s})")
+    y = y.astype(dtype, copy=False)
     rn = np.sqrt(dtype(n))
     XT = X[:, T].astype(dtype, copy=False)
     w_eff = y - XT @ anchor_T
@@ -487,14 +556,16 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
     mask[S] = False
     Sc = np.flatnonzero(mask)
     XScT, XST = XT[Sc], XT[S]
+    del XT
 
     if k > 0:
-        sv = np.linalg.svd(XScT.astype(np.float64), compute_uv=False)
-        cond = math.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
-        if not math.isfinite(cond) or cond > _MAX_COND:
-            raise SingularMatrixError(
-                f"X restricted to (Sc, T) is rank-deficient: condition number {cond:.3e}")
         G = XScT.T @ XScT
+        ev = np.linalg.eigvalsh(G.astype(np.float64, copy=False))
+        cond = float(ev[-1] / ev[0]) if ev[0] > 0 else math.inf
+        if not cond <= _MAX_COND:
+            raise SingularMatrixError(
+                "Gram matrix of X restricted to (Sc, T) is ill-conditioned: "
+                f"condition number {cond:.3e}")
         rhs = XScT.T @ w_eff[Sc] + rn * lam_e * (XST.T @ sign_e) - n * lam_b * sign_beta
         h_T = _solve_linear(G, rhs)
     else:

@@ -322,60 +322,54 @@ class TestExactFinish:
         assert sol.beta_hat.dtype == np.float64
 
     def test_singular_finish_falls_back_to_not_converged(self, monkeypatch):
-        # path levels call restricted_solution too (and fail here); only the
-        # calls made inside target windows (exact _bcd calls) are finishes
-        windows = []  # per target window: the dtypes of its restricted solves
-        real_bcd = solver._bcd
-
-        def bcd(*args):
-            if args[-1]:
-                windows.append([])
-            return real_bcd(*args)
-
-        def singular(*args, **kwargs):
-            if windows:
-                windows[-1].append(kwargs["dtype"])
-            raise xl.SingularMatrixError("forced")
-
-        monkeypatch.setattr(solver, "_bcd", bcd)
-        monkeypatch.setattr(solver, "restricted_solution", singular)
+        """A singular restricted system at the target is never retried in
+        extended precision, and the solve ends converged=False with the
+        joint KKT residual of its last point."""
+        dtypes = []  # the dtypes of the restricted solves at the target
         inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
         lam_b, lam_e = xl.lambdas_simulation(0.15, 60, 15)
+
+        def singular(X, y, T, S, sb, se, aT, aS, lb, le, dtype):
+            if (lb, le) == (lam_b, lam_e):
+                dtypes.append(dtype)
+            raise xl.SingularMatrixError("forced")
+
+        monkeypatch.setattr(solver, "_restricted_point", singular)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-        # the target's path level and each bounded resume try the step, in
-        # float64 only: a singular system is not retried in longdouble
-        assert len(windows) == 1 + solver._FINISH_RETRIES
-        assert all(w and set(w) == {np.float64} for w in windows)
+        assert dtypes and set(dtypes) == {np.float64}
         assert not sol.converged
         assert sol.kkt_residual == solver._joint_kkt_residual(
             inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
 
     def test_no_restricted_solve_repeats_within_a_call(self, monkeypatch):
-        """No float64 restricted solve on the same (T, S) at the same
-        lambdas is made twice for one _bcd call; a solve made after a call
-        returns counts against that call."""
-        calls = []  # per _bcd call: the (T, S, lambdas) of its float64 solves
-        real_bcd, real_rs = solver._bcd, solver.restricted_solution
+        """Within one solve, no active-set step starts twice from the same
+        signed supports at the same lambdas: the level's entry step, the
+        steps of coordinate descent and every target window share the
+        failed starts.  On this instance of the recipe of 150 small random
+        instances (seed 134), steps are called again from failed starts."""
+        calls, started = [], []  # (signs, lambdas) of every call / start
+        real_step, real_point = solver._active_set_step, \
+            solver._restricted_point
 
-        def bcd(*args):
-            calls.append([])
-            return real_bcd(*args)
+        def step(instance, beta, e, lb, le, *args):
+            calls.append((solver._sign_key(beta, e), lb, le))
+            return real_step(instance, beta, e, lb, le, *args)
 
-        def restricted_solution(instance, T, S, lb, le, **kwargs):
-            if kwargs["dtype"] is np.float64:
-                calls[-1].append((tuple(T.tolist()), tuple(S.tolist()), lb,
-                                  le))
-            return real_rs(instance, T, S, lb, le, **kwargs)
+        def point(*args):
+            if calls and (not started or started[-1] is not calls[-1]):
+                started.append(calls[-1])
+            return real_point(*args)
 
-        monkeypatch.setattr(solver, "_bcd", bcd)
-        monkeypatch.setattr(solver, "restricted_solution",
-                            restricted_solution)
-        inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
-        sol = xl.solve_extended_lasso(inst, *xl.lambdas_simulation(0.15, 60,
-                                                                   15))
+        monkeypatch.setattr(solver, "_active_set_step", step)
+        monkeypatch.setattr(solver, "_restricted_point", point)
+        inst = xl.gen_instance(38, 9, k=8, s=15, sigma=0.1, seed=134)
+        sol = xl.solve_extended_lasso(inst, 2.2732713854931268e-07,
+                                      1.865603508607568e-06)
+        assert started
+        assert len(set(calls)) < len(calls)
+        assert len(set(started)) == len(started)
         assert sol.converged
-        assert sum(map(len, calls)) > 0
-        assert all(len(set(c)) == len(c) for c in calls)
+        assert xl.kkt_check(inst, sol).certified
 
     def test_extended_solve_only_after_a_miss_within_rounding(self,
                                                               monkeypatch):
@@ -391,27 +385,26 @@ class TestExactFinish:
         col_sq, abs_y = np.einsum("ij,ij->j", X, X), np.abs(y)
         tol = solver.SolverConfig().tol_kkt
         outcomes = []  # per restricted solve at the target
-        real = solver.restricted_solution
+        real = solver._restricted_point
 
-        def outcome(b, ee, dtype, anchor_beta, anchor_e):
+        def outcome(T, S, sb, se, b, ee, dtype):
             if dtype is not np.float64:
                 return "extended"
-            if solver._sign_key(b, ee) != solver._sign_key(anchor_beta,
-                                                           anchor_e):
+            if not (np.array_equal(np.sign(b[T]), sb)
+                    and np.array_equal(np.sign(ee[S]), se)):
                 return "flip"
             kkt = solver._joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
             err = solver._float64_rounding_error(X, abs_y, col_sq, b, ee,
                                                  lam_b, lam_e)
             return "beyond" if kkt - err > tol else "within"
 
-        def restricted_solution(instance, T, S, lb, le, **kwargs):
-            out = real(instance, T, S, lb, le, **kwargs)
+        def restricted_point(X, y, T, S, sb, se, aT, aS, lb, le, dtype):
+            out = real(X, y, T, S, sb, se, aT, aS, lb, le, dtype)
             if (lb, le) == (lam_b, lam_e):
-                outcomes.append(outcome(*out[2:], **kwargs))
+                outcomes.append(outcome(T, S, sb, se, *out[2:], dtype))
             return out
 
-        monkeypatch.setattr(solver, "restricted_solution",
-                            restricted_solution)
+        monkeypatch.setattr(solver, "_restricted_point", restricted_point)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
         assert {"flip", "beyond"} <= set(outcomes)
         assert all(before == "within" for before, kind
@@ -439,9 +432,11 @@ class TestWorkingSet:
         assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
 
     def test_coordinate_enters_mid_level(self, monkeypatch):
-        """Two columns with correlation 0.95: the second joins the working
-        set at a refresh inside a path level, and the solve still converges
-        to the closed form on its own signed supports."""
+        """Two columns with correlation 0.95: with coordinate descent as
+        every level's fallback (the entry step declines), the second column
+        joins the working set at a refresh inside a path level, and the
+        solve still converges to the closed form on its own signed
+        supports."""
         rng = np.random.default_rng(2)
         n, p = 30, 6
         X = rng.standard_normal((n, p))
@@ -456,11 +451,15 @@ class TestWorkingSet:
         lam_b, lam_e = 0.02, 0.05
 
         sets, finals = [], []  # per _bcd call: its working sets, its beta
+        inside = []  # non-empty while _bcd runs
         real_bcd, real_ws = solver._bcd, solver._working_set
+        real_step = solver._active_set_step
 
         def bcd(*args):
             sets.append([])
+            inside.append(True)
             out = real_bcd(*args)
+            inside.pop()
             finals.append(out[0].copy())
             return out
 
@@ -469,8 +468,12 @@ class TestWorkingSet:
             sets[-1].append(set(W))
             return W
 
+        def step(*args):
+            return real_step(*args) if inside else None
+
         monkeypatch.setattr(solver, "_bcd", bcd)
         monkeypatch.setattr(solver, "_working_set", working_set)
+        monkeypatch.setattr(solver, "_active_set_step", step)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
 
         assert any(len(W) < p for level in sets for W in level)
@@ -490,16 +493,16 @@ class TestWorkingSet:
 
 class TestLevelStep:
     def test_same_answer_in_fewer_sweeps(self, monkeypatch):
-        """At the criterion-1 penalties the level step changes the answer by
-        at most 1e-12 and no sign, and saves sweeps."""
+        """At the criterion-1 penalties the path-level steps change the
+        answer by at most 1e-12 and no sign, and save sweeps."""
         inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
         lam_b = 5e-9
         lam_e = lam_b / math.sqrt(math.log(64))
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-        real = solver._restricted_step
+        real = solver._active_set_step
         # path-level steps off; the target's certified step stays
-        monkeypatch.setattr(solver, "_restricted_step",
-                            lambda *args: real(*args) if args[-1] else None)
+        monkeypatch.setattr(solver, "_active_set_step",
+                            lambda *args: real(*args) if args[-2] else None)
         ref = xl.solve_extended_lasso(inst, lam_b, lam_e)
         assert sol.converged and ref.converged
         for got, want in ((sol.beta_hat, ref.beta_hat), (sol.e_hat, ref.e_hat)):
@@ -508,56 +511,99 @@ class TestLevelStep:
         assert sol.iterations < ref.iterations
 
     def test_sign_flip_rejected_when_a_coordinate_leaves(self, monkeypatch):
-        """AR(1) design with rho = 0.8: coordinate 1 is on the support at an
-        early path level and off it at the end.  The restricted solve on
-        the support that still holds it flips its sign, so that step is
-        rejected (as is every other step that flips a sign), and the solve
-        still certifies."""
+        """AR(1) design with rho = 0.8: coordinate 1 enters an active-set
+        step and the restricted solve flips its sign, so the step drops it
+        before its next solve.  Every accepted point keeps the signs it was
+        solved for, none holds coordinate 1, and the solve still
+        certifies."""
         spec = xl.CovarianceSpec("ar1", p=9, rho=0.8)
         inst = xl.gen_instance(57, 9, k=3, s=5, sigma=0.1, spec=spec, seed=7)
         lam_b, lam_e = 3e-3, 2e-3
-        tries = []  # per level step: beta coordinates whose sign flips, result
-        real = solver._restricted_step
+        steps = []  # per step: [its float64 solves (T, signs, got), point]
+        real_step, real_point = solver._active_set_step, \
+            solver._restricted_point
 
-        def restricted_step(instance, beta, e, lb, le, *args):
-            _, _, b, _ = xl.restricted_solution(
-                instance, np.flatnonzero(beta), np.flatnonzero(e), lb, le,
-                anchor_beta=beta, anchor_e=e)
-            out = real(instance, beta, e, lb, le, *args)
-            if not args[-1]:  # a path level
-                tries.append((np.flatnonzero(np.sign(b) != np.sign(beta)), out))
+        def step(*args):
+            steps.append([[], None])
+            steps[-1][1] = real_step(*args)
+            return steps[-1][1]
+
+        def point(X, y, T, S, sb, se, aT, aS, lb, le, dtype):
+            out = real_point(X, y, T, S, sb, se, aT, aS, lb, le, dtype)
+            if dtype is np.float64:
+                steps[-1][0].append((T.tolist(), sb.tolist(),
+                                     np.sign(out[2][T]).tolist()))
             return out
 
-        monkeypatch.setattr(solver, "_restricted_step", restricted_step)
+        monkeypatch.setattr(solver, "_active_set_step", step)
+        monkeypatch.setattr(solver, "_restricted_point", point)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-        flips = [(flipped, out) for flipped, out in tries if len(flipped)]
-        assert 1 in {j for flipped, _ in flips for j in flipped.tolist()}
-        assert all(out is None for _, out in flips)
-        assert any(out is not None for _, out in tries)
+        dropped = [1 not in after[0]
+                   for solves, _ in steps
+                   for (T, want, got), after in zip(solves, solves[1:])
+                   if 1 in T and want[T.index(1)] != got[T.index(1)]]
+        assert dropped and all(dropped)
+        accepted = [(solves[-1], out) for solves, out in steps
+                    if out is not None]
+        assert accepted
+        for (T, want, got), out in accepted:
+            assert want == got
+            assert out[0][1] == 0.0
         assert sol.beta_hat[1] == 0.0
         assert sol.converged
         assert xl.kkt_check(inst, sol).certified
 
     def test_level_ends_before_the_eighth_sweep(self, monkeypatch):
-        """The step is tried at the first sweep that repeats the signs, not
-        only at KKT checks, so on the benchmark's noiseless instance some
-        path level ends by an accepted step before its 8th sweep."""
+        """Every level starts with an active-set step from the current
+        point, so on the benchmark's noiseless instance some path level ends
+        by an accepted step with 0 sweeps."""
         inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
         lam_b = 5e-9
-        ends = []  # per path level: (an accepted step's kkt or None, sweeps)
-        real_bcd = solver._bcd
+        entries = []  # per step made outside _bcd: (exact, accepted)
+        inside = []  # non-empty while _bcd runs
+        real_bcd, real_step = solver._bcd, solver._active_set_step
 
         def bcd(*args):
+            inside.append(True)
             out = real_bcd(*args)
-            if not args[-1]:
-                ends.append((out[2], out[3]))
+            inside.pop()
+            return out
+
+        def step(*args):
+            out = real_step(*args)
+            if not inside:
+                entries.append((args[-2], out is not None))
             return out
 
         monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "_active_set_step", step)
         sol = xl.solve_extended_lasso(inst, lam_b,
                                       lam_b / math.sqrt(math.log(64)))
-        assert any(kkt is not None and sweeps < 8 for kkt, sweeps in ends)
+        assert (False, True) in entries
         assert sol.converged
+
+    def test_entering_coordinate_takes_the_sign_of_its_dual(self):
+        """From zero on an orthogonal design (X'X = n I), the coordinates
+        of beta enter with the signs of their scaled duals, a negative one
+        included, and the step ends at the soft-thresholded point."""
+        n, lam_b = 40, 0.01
+        rng = np.random.default_rng(5)
+        X = math.sqrt(n) * np.linalg.qr(rng.standard_normal((n, 3)))[0]
+        beta_star = np.array([-2.0, 0.0, 1.5])
+        inst = ProblemInstance(X=np.asfortranarray(X), y=X @ beta_star)
+        lam_e = 2.0 * float(np.max(np.abs(inst.y))) / math.sqrt(n)
+        zero_b, zero_e = np.zeros(3), np.zeros(n)
+        (z_b, _), *_ = solver._scaled_duals(inst.X, inst.y, zero_b, zero_e,
+                                            lam_b, lam_e)
+        failed = set()
+        b, ee, kkt = solver._active_set_step(
+            inst, zero_b, zero_e, lam_b, lam_e, 1e-6,
+            np.einsum("ij,ij->j", X, X), np.abs(inst.y), False, failed)
+        assert np.sign(z_b[[0, 2]]).tolist() == [-1.0, 1.0]
+        assert np.sign(b).tolist() == [-1.0, 0.0, 1.0]
+        np.testing.assert_allclose(b, soft_threshold(beta_star, lam_b),
+                                   atol=1e-12)
+        assert not ee.any() and kkt <= 1e-6 and not failed
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(n=st.integers(8, 80), p=st.integers(2, 64), k=st.integers(1, 4),
@@ -568,28 +614,42 @@ class TestLevelStep:
     def test_accepted_steps_descend_and_end_the_level(
             self, n, p, k, s_frac, sigma, design, rho, log_lam, log_ratio,
             seed):
-        """Over TestWorkingSet's distribution, every accepted level step
-        has an objective no higher than the iterate's and a float64 KKT
-        residual within the level's tol, and converged solves certify."""
+        """Over TestWorkingSet's distribution, every accepted path-level
+        active-set step keeps the signs it solved for (its point is zero
+        off them), has a float64 KKT residual within the level's tol and an
+        objective no higher than its start's, and converged solves
+        certify."""
         spec = xl.CovarianceSpec(design, p=p,
                                  rho=rho if design == "ar1" else 0.0)
         inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
                                sigma=sigma, spec=spec, seed=seed)
         lam_b = 10.0 ** log_lam
         accepted = []
-        real = solver._restricted_step
+        signs = []  # the signs on T and S of the last float64 solve
+        real_step, real_point = solver._active_set_step, \
+            solver._restricted_point
 
-        def restricted_step(instance, beta, e, lb, le, tol, *args):
-            out = real(instance, beta, e, lb, le, tol, *args)
-            if out is not None and not args[-1]:  # accepted on a path level
+        def point(X, y, T, S, sb, se, *args):
+            if args[-1] is np.float64:
+                signs[:] = [(T, sb, S, se)]
+            return real_point(X, y, T, S, sb, se, *args)
+
+        def step(instance, beta, e, lb, le, tol, *args):
+            out = real_step(instance, beta, e, lb, le, tol, *args)
+            if out is not None and not args[-2]:  # accepted on a path level
                 accepted.append((beta.copy(), e.copy(), lb, le, tol,
-                                 out[0].copy(), out[1].copy()))
+                                 out[0].copy(), out[1].copy(), *signs))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_restricted_step", restricted_step)
+            mp.setattr(solver, "_active_set_step", step)
+            mp.setattr(solver, "_restricted_point", point)
             assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
-        for beta, e, lb, le, tol, b, ee in accepted:
+        for beta, e, lb, le, tol, b, ee, (T, sb, S, se) in accepted:
+            for x, on, want in ((b, T, sb), (ee, S, se)):
+                expect = np.zeros_like(x)
+                expect[on] = want
+                assert np.array_equal(np.sign(x), expect)
             before = xl.objective_value(inst, beta, e, lb, le)
             assert xl.objective_value(inst, b, ee, lb, le) <= \
                 before + 1e-12 * max(1.0, abs(before))
@@ -715,6 +775,25 @@ class TestRestrictedSolution:
         inst = make_instance_from_parts(X, beta_star, np.zeros(6), np.zeros(6))
         with pytest.raises(xl.SingularMatrixError, match="condition number"):
             xl.restricted_solution(inst, [0, 1], [], 0.1, 0.1)
+
+    def test_ill_conditioned_gram_rejected(self):
+        """The gate is on the Gram matrix G = X'_{ScT} X_{ScT} that is
+        solved: a block with cond(X_{ScT}) near 1e7, whose G has a
+        condition number near 1e14, is refused with that number."""
+        rng = np.random.default_rng(11)
+        q = np.linalg.qr(rng.standard_normal((20, 2)))[0]
+        X = np.column_stack([q[:, 0], q[:, 0] + 2e-7 * q[:, 1],
+                             rng.standard_normal(20)])
+        sv = np.linalg.svd(X[:, :2], compute_uv=False)
+        cond = sv[0] / sv[-1]
+        assert 5e6 < cond < 2e7
+        inst = make_instance_from_parts(X, np.array([1.0, 1.0, 0.0]),
+                                        np.zeros(20), np.zeros(20))
+        with pytest.raises(xl.SingularMatrixError,
+                           match="condition number") as exc:
+            xl.restricted_solution(inst, [0, 1], [], 0.1, 0.1)
+        reported = float(str(exc.value).rsplit(" ", 1)[1])
+        assert reported == pytest.approx(cond ** 2, rel=0.1)
 
     def test_too_much_corruption_rejected(self):
         inst = xl.gen_instance(10, 6, k=4, s=8, sigma=0.0, seed=29)

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEFAULT_ZERO_TOL, InputError, ProblemInstance, Solution,
-                    _as_vector, extract_signed_support, index_array)
+                    _as_vector, check_finite_positive, extract_signed_support,
+                    index_array)
 from .rng import stream
 from .solver import _scaled_duals, restricted_solution
 
@@ -93,7 +94,9 @@ def kkt_check(instance: ProblemInstance, solution: Solution,
               tol: float = 1e-9) -> KktReport:
     """Evaluate the optimality system at the solution; always returns a
     report, certified only if the stationarity residual is at most tol.
-    DimensionMismatchError if the solution does not fit the instance."""
+    DimensionMismatchError if the solution does not fit the instance, and
+    InputError unless tol is finite and > 0."""
+    check_finite_positive("tol", tol)
     beta = _as_vector("beta_hat", solution.beta_hat, instance.p, np.longdouble)
     e = _as_vector("e_hat", solution.e_hat, instance.n, np.longdouble)
     (z_beta, z_e), stat, off_b, off_e = _scaled_duals(

@@ -48,6 +48,14 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise InputError(f"{name} contains non-finite entries")
 
 
+def check_finite_positive(name: str, value, zero_ok: bool = False) -> None:
+    """InputError unless value is a finite number > 0, or >= 0 with zero_ok;
+    nan and inf fail either way."""
+    if not (value < np.inf and (value > 0 or zero_ok and value == 0)):
+        raise InputError(f"{name} must be finite and "
+                         f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
 def index_array(name: str, idx, size: int) -> np.ndarray:
     """idx as an index array in the caller's order; InputError unless every
     entry is an integer in [0, size), so that -1 cannot wrap around, 1.7
@@ -189,8 +197,8 @@ class Solution:
     kkt_residual: float
 
     def __post_init__(self):
-        if self.lambda_beta <= 0 or self.lambda_e <= 0:
-            raise InputError("lambda_beta and lambda_e must be > 0")
+        check_finite_positive("lambda_beta", self.lambda_beta)
+        check_finite_positive("lambda_e", self.lambda_e)
         _check_finite("beta_hat", self.beta_hat)
         _check_finite("e_hat", self.e_hat)
 

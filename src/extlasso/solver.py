@@ -24,16 +24,16 @@ the alternation, while warm-started supports contract at a linear rate.
 The point on the signed supports (T, S) comes from the restricted closed
 form (continuation, then a subspace solve, as in FPC_AS, Wen, Yin, Goldfarb
 & Zhang 2010), and the supports from primal-dual active-set steps
-(Hintermueller, Ito & Kunisch 2002; _active_set_step): every level and
-target window starts with one from the current point, and coordinate
-descent runs only when it fails.  Its point must keep the signs it was
-solved for; on the path levels, which run to a loose 1e-6, it must also not
-raise the objective and meet the level's tolerance, and at the target it
-must certify, with room for its float64 rounding.  Only a miss within that
-rounding is solved again, in extended precision (float80 on x86): one ulp
-of a unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  The
-target is solved in a bounded number of windows, each with a fresh stall
-count; if none certifies, converged=False is returned.
+(Hintermueller, Ito & Kunisch 2002; _active_set_step): each level is one
+call of _bcd, which starts with one from the current point and runs
+coordinate descent only when it fails.  Its point must keep the signs it
+was solved for; on the path levels, which run to a loose 1e-6, it must also
+not raise the objective and meet the level's tolerance, and at the target
+it must certify, with room for its float64 rounding.  Only a miss within
+that rounding is solved again, in extended precision (float80 on x86): one
+ulp of a unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  If
+the target level ends without a certified step, converged=False is
+returned.
 
 The restricted system is the k x k Gram matrix G = X'_{ScT} X_{ScT} of the
 normal equations, so its gate is cond(G) <= _MAX_COND (1e12, from the
@@ -49,13 +49,14 @@ _KKT_REFRESH sweeps, and at a restricted point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (InputError, NumericError, ProblemInstance,
-                    SingularMatrixError, Solution, index_array,
-                    objective_value, residual_objective)
+                    SingularMatrixError, Solution, check_finite_positive,
+                    index_array, objective_value, residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -67,7 +68,6 @@ _TOL_OBJ = 1e-12  # a sweep that lowers the objective by less stalls
 _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.1%
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
-_FINISH_RETRIES = 3  # target windows after the target path level
 _STEP_SOLVES = 8  # restricted solves one active-set step may make
 _ROWS = 1024  # rows of X converted to extended precision at a time
 _PATH_STEPS_PER_DECADE = 3
@@ -86,10 +86,11 @@ class SolverConfig:
     tol_kkt: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InputError("max_iters must be >= 1")
-        if self.tol_kkt <= 0:
-            raise InputError("tol_kkt must be > 0")
+        if not isinstance(self.max_iters, numbers.Integral) \
+                or self.max_iters < 1:
+            raise InputError(f"max_iters must be an integer >= 1, "
+                             f"got {self.max_iters!r}")
+        check_finite_positive("tol_kkt", self.tol_kkt)
 
 
 def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
@@ -194,29 +195,34 @@ def _sign_key(beta, e):
 
 
 def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
-         exact, failed):
-    """Alternating beta-sweep / e-step loop in float64.
+         exact):
+    """One lambda level: an active-set step from (beta, e), then, only if it
+    fails, an alternating beta-sweep / e-step loop in float64.
 
     Each beta sweep runs cyclic coordinate descent over the working set
     only (_working_set), formed from one X'r when the loop starts and
     refreshed from the duals of the KKT check; beta stays zero off it.
     col_sq (squared column norms of X) and abs_y (|y|) are fixed per solve.
 
-    Stops when the KKT residual over all p coordinates, checked every
+    The loop stops when the KKT residual over all p coordinates, checked every
     _KKT_REFRESH sweeps and on the last, is at most tol, when progress
     stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
     nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
-    also stops at an active-set step: when a sweep ends with the same signs of
-    (beta, e) as the sweep before (an O(n + p) comparison), or with exact
+    also stops at an active-set step: when a sweep ends with the same signs
+    of (beta, e) as the sweep before (an O(n + p) comparison), or with exact
     at a check at or below tol, _active_set_step starts from those signed
     supports, under the path-level rule or, with exact, the certification
-    rule, and the loop ends at its point if it is accepted.  failed holds
-    the starts whose step failed at these lambdas in this solve; they are
-    not tried again.
+    rule, and the loop ends at its point if it is accepted.  The starts
+    whose step failed in this call are not tried again.
     Returns (beta, e, kkt, sweeps): kkt is the accepted step's KKT residual,
     or None when no step was accepted; sweeps counts beta sweeps, not
-    restricted solves.
+    restricted solves, and is 0 when the entry step is accepted.
     """
+    failed = set()
+    step = _active_set_step(instance, beta, e, lam_b, lam_e, tol, col_sq,
+                            abs_y, exact, failed)
+    if step is not None:
+        return (*step, 0)
     X, y = instance.X, instance.y
     n = X.shape[0]
     rn = math.sqrt(n)
@@ -398,10 +404,11 @@ def _next_signs(signs, x, z, tol):
 def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
                          config: SolverConfig | None = None) -> Solution:
     """Solve the joint program from zero down the lambda path; returns a
-    Solution (converged flag, no raise on non-convergence)."""
+    Solution (converged flag, no raise on non-convergence).  InputError
+    unless lam_b and lam_e are finite and > 0."""
     cfg = config or SolverConfig()
-    if lam_b <= 0 or lam_e <= 0:
-        raise InputError("lam_b and lam_e must be > 0")
+    check_finite_positive("lam_b", lam_b)
+    check_finite_positive("lam_e", lam_e)
 
     X = instance.X
     y = instance.y
@@ -415,37 +422,23 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     lmax_e = float(np.max(abs_y)) / math.sqrt(n)
     levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e)
 
-    # the path levels run to path_tol; the target runs to tol_kkt in its
-    # path level and _FINISH_RETRIES more windows, each with a fresh stall
-    # count, and the solve ends at the first certified step.  Every level
-    # and window starts with an active-set step from the current point, and
-    # coordinate descent runs only when it fails; the failed starts are kept
-    # per lambda pair for the whole solve.
-    schedule = levels + [(lam_b, lam_e)] * _FINISH_RETRIES
+    # one _bcd call per level: the path levels run to path_tol, and the
+    # target, the last level, runs to tol_kkt and converges only at a
+    # certified step
     path_tol = max(cfg.tol_kkt, _PATH_TOL)
-    failed = {}
     total = 0
-    budget = cfg.max_iters
     converged = False
-    for i, (lb, le) in enumerate(schedule):
-        exact = i >= len(levels) - 1
+    for i, (lb, le) in enumerate(levels):
+        exact = i == len(levels) - 1
         tol = cfg.tol_kkt if exact else path_tol
+        budget = cfg.max_iters - total
         max_sweeps = budget if exact else min(budget, _LEVEL_SWEEPS)
         if max_sweeps < 1:
             break
-        tried = failed.setdefault((lb, le), set())
-        step = _active_set_step(instance, beta, e, lb, le, tol, col_sq, abs_y,
-                                exact, tried)
-        if step is None:
-            beta, e, kkt, it = _bcd(instance, lb, le, beta, e, tol,
-                                    max_sweeps, col_sq, abs_y, exact, tried)
-        else:
-            (beta, e, kkt), it = step, 0
+        beta, e, kkt, it = _bcd(instance, lb, le, beta, e, tol, max_sweeps,
+                                col_sq, abs_y, exact)
         total += it
-        budget -= it
         converged = exact and kkt is not None
-        if converged:
-            break
     if not converged:
         kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
     obj = objective_value(instance, beta, e, lam_b, lam_e)
@@ -455,16 +448,17 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
 
 
 def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
-    """Cyclic coordinate descent for (1/2n)||y - X beta||^2 + lam ||beta||_1,
-    from zero to the default SolverConfig's tolerance and sweep cap.
+    """The standard Lasso (1/2n)||y - X beta||^2 + lam ||beta||_1 from zero,
+    to the default SolverConfig's tolerance and sweep cap, as one level of
+    the joint solver: an active-set step from zero, then cyclic coordinate
+    descent only if it fails.  InputError unless lam is finite and > 0.
 
-    Runs the joint kernel with lambda_e so large that e stays zero: no
-    iterate's objective exceeds the start's, which bounds ||beta||_1 and so
+    The level runs with lambda_e so large that e stays zero: no accepted
+    point's objective exceeds the start's, which bounds ||beta||_1 and so
     every residual entry below sqrt(n) lambda_e / 2.
     """
     cfg = SolverConfig()
-    if lam <= 0:
-        raise InputError("lam must be > 0")
+    check_finite_positive("lam", lam)
     X = np.asfortranarray(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
@@ -473,7 +467,7 @@ def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
     lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
     return _bcd(ProblemInstance(X=X, y=y), lam, float(lam_e), np.zeros(p),
                 np.zeros(n), cfg.tol_kkt, cfg.max_iters,
-                np.einsum("ij,ij->j", X, X), abs_y, False, set())[0]
+                np.einsum("ij,ij->j", X, X), abs_y, False)[0]
 
 
 def _solve_linear(G, rhs):
@@ -516,10 +510,11 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
     The system solved is the k x k Gram matrix G = X'_{ScT} X_{ScT}, so G is
     what is gated: SingularMatrixError when |T| > n - |S| or when cond(G)
     (from its eigenvalues) exceeds _MAX_COND = 1e12, i.e. when
-    cond(X_{ScT}) exceeds 1e6.
+    cond(X_{ScT}) exceeds 1e6.  InputError unless lam_b and lam_e are
+    finite and >= 0.
     """
-    if lam_b < 0 or lam_e < 0:
-        raise InputError("lam_b and lam_e must be >= 0")
+    check_finite_positive("lam_b", lam_b, zero_ok=True)
+    check_finite_positive("lam_e", lam_e, zero_ok=True)
     n, p = instance.X.shape
     T = index_array("T", T, p)
     S = index_array("S", S, n)

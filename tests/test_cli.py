@@ -167,6 +167,23 @@ class TestErrorPaths:
         code, _, _ = run_cli(["verify", str(other), str(sol_path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--lambda-beta", "nan", "--lambda-e", "0.03"]),
+        ("solve", ["--lambda-beta", "inf", "--lambda-e", "0.03"]),
+        ("solve", ["--tol-kkt", "nan"]),
+        ("solve", ["--tol-kkt", "inf"]),
+        ("verify", ["--tol-kkt", "nan"])])
+    def test_non_finite_option_exits_2(self, tmp_path, instance_file, capsys,
+                                       command, flags):
+        # nan and inf used to raise a traceback, exit 3, or run and report
+        files = [str(instance_file)]
+        if command == "verify":
+            files.append(str(self._solution_file(tmp_path, instance_file,
+                                                 capsys)))
+        code, _, err = run_cli([command, *files, *flags], capsys)
+        assert code == 2
+        assert "input error" in err
+
     def test_converged_must_be_a_boolean_exits_2(self, tmp_path,
                                                  instance_file, capsys):
         sol_path = self._solution_file(tmp_path, instance_file, capsys)

@@ -275,9 +275,30 @@ class TestExtendedLasso:
         assert bcd.objective == pytest.approx(obj, rel=1e-6)
 
     def test_invalid_lambdas(self):
+        """A penalty or tolerance that is not finite and > 0 (>= 0 for the
+        restricted closed form), or a max_iters that is not an integer, is
+        an input error."""
         inst = xl.gen_instance(10, 4, k=1, s=2, sigma=0.1, seed=1)
-        with pytest.raises(xl.InputError):
-            xl.solve_extended_lasso(inst, 0.0, 1.0)
+        X, y = inst.X, inst.y
+        sol = xl.solve_extended_lasso(inst, 0.1, 0.1)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            calls = [
+                lambda: xl.solve_extended_lasso(inst, bad, 1.0),
+                lambda: xl.solve_extended_lasso(inst, 1.0, bad),
+                lambda: xl.solve_standard_lasso(X, y, bad),
+                lambda: xl.SolverConfig(tol_kkt=bad),
+                lambda: xl.SolverConfig(max_iters=bad),
+                lambda: xl.kkt_check(inst, sol, tol=bad),
+                lambda: xl.Solution(beta_hat=np.zeros(4), e_hat=np.zeros(10),
+                                    lambda_beta=bad, lambda_e=1.0,
+                                    objective=0.0, iterations=0,
+                                    converged=False, kkt_residual=0.0)]
+            if bad != 0.0:
+                calls.append(lambda: xl.restricted_solution(inst, [0], [0],
+                                                            bad, 0.1))
+            for call in calls:
+                with pytest.raises(xl.InputError):
+                    call()
 
     def test_solution_objective_consistent(self):
         inst = xl.gen_instance(30, 8, k=2, s=6, sigma=0.1, seed=25)
@@ -322,9 +343,10 @@ class TestExactFinish:
         assert sol.beta_hat.dtype == np.float64
 
     def test_singular_finish_falls_back_to_not_converged(self, monkeypatch):
-        """A singular restricted system at the target is never retried in
-        extended precision, and the solve ends converged=False with the
-        joint KKT residual of its last point."""
+        """A singular restricted system at the target, at the entry step
+        of its level and at every step of its coordinate descent, is never
+        retried in extended precision, and the solve ends converged=False
+        with the joint KKT residual of its last point."""
         dtypes = []  # the dtypes of the restricted solves at the target
         inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
         lam_b, lam_e = xl.lambdas_simulation(0.15, 60, 15)
@@ -343,8 +365,8 @@ class TestExactFinish:
 
     def test_no_restricted_solve_repeats_within_a_call(self, monkeypatch):
         """Within one solve, no active-set step starts twice from the same
-        signed supports at the same lambdas: the level's entry step, the
-        steps of coordinate descent and every target window share the
+        signed supports at the same lambdas: each lambda pair is one level
+        call, whose entry step and coordinate-descent steps share the
         failed starts.  On this instance of the recipe of 150 small random
         instances (seed 134), steps are called again from failed starts."""
         calls, started = [], []  # (signs, lambdas) of every call / start
@@ -370,6 +392,30 @@ class TestExactFinish:
         assert len(set(started)) == len(started)
         assert sol.converged
         assert xl.kkt_check(inst, sol).certified
+
+    def test_stalled_target_is_one_level_call(self, monkeypatch):
+        """The target penalties are one level call, with no retry: on this
+        instance of the recipe of 150 small random instances (seed 18,
+        |S| = n at the stall) coordinate descent stalls there, and the
+        solve ends converged=False with the joint KKT residual of its last
+        point."""
+        inst = xl.gen_instance(48, 4, k=1, s=17, sigma=0.1, e_scale=1.0,
+                               seed=18)
+        lam_b, lam_e = 1.4792762945919326e-06, 1.5194922451038214e-07
+        target_calls = []
+        real_bcd = solver._bcd
+
+        def bcd(instance, lb, le, *args):
+            if (lb, le) == (lam_b, lam_e):
+                target_calls.append(args)
+            return real_bcd(instance, lb, le, *args)
+
+        monkeypatch.setattr(solver, "_bcd", bcd)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        assert len(target_calls) == 1
+        assert not sol.converged
+        assert sol.kkt_residual == solver._joint_kkt_residual(
+            inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
 
     def test_extended_solve_only_after_a_miss_within_rounding(self,
                                                               monkeypatch):
@@ -433,10 +479,10 @@ class TestWorkingSet:
 
     def test_coordinate_enters_mid_level(self, monkeypatch):
         """Two columns with correlation 0.95: with coordinate descent as
-        every level's fallback (the entry step declines), the second column
-        joins the working set at a refresh inside a path level, and the
-        solve still converges to the closed form on its own signed
-        supports."""
+        every level's fallback (the first step of each level call, its entry
+        step, declines), the second column joins the working set at a
+        refresh inside a path level, and the solve still converges to the
+        closed form on its own signed supports."""
         rng = np.random.default_rng(2)
         n, p = 30, 6
         X = rng.standard_normal((n, p))
@@ -451,15 +497,14 @@ class TestWorkingSet:
         lam_b, lam_e = 0.02, 0.05
 
         sets, finals = [], []  # per _bcd call: its working sets, its beta
-        inside = []  # non-empty while _bcd runs
+        entry = []  # per _bcd call: True until its first step is made
         real_bcd, real_ws = solver._bcd, solver._working_set
         real_step = solver._active_set_step
 
         def bcd(*args):
             sets.append([])
-            inside.append(True)
+            entry.append(True)
             out = real_bcd(*args)
-            inside.pop()
             finals.append(out[0].copy())
             return out
 
@@ -469,7 +514,10 @@ class TestWorkingSet:
             return W
 
         def step(*args):
-            return real_step(*args) if inside else None
+            if entry[-1]:
+                entry[-1] = False
+                return None
+            return real_step(*args)
 
         monkeypatch.setattr(solver, "_bcd", bcd)
         monkeypatch.setattr(solver, "_working_set", working_set)
@@ -559,24 +607,16 @@ class TestLevelStep:
         by an accepted step with 0 sweeps."""
         inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
         lam_b = 5e-9
-        entries = []  # per step made outside _bcd: (exact, accepted)
-        inside = []  # non-empty while _bcd runs
-        real_bcd, real_step = solver._bcd, solver._active_set_step
+        entries = []  # per level that ends with 0 sweeps: (exact, accepted)
+        real_bcd = solver._bcd
 
         def bcd(*args):
-            inside.append(True)
             out = real_bcd(*args)
-            inside.pop()
-            return out
-
-        def step(*args):
-            out = real_step(*args)
-            if not inside:
-                entries.append((args[-2], out is not None))
+            if out[3] == 0:
+                entries.append((args[-1], out[2] is not None))
             return out
 
         monkeypatch.setattr(solver, "_bcd", bcd)
-        monkeypatch.setattr(solver, "_active_set_step", step)
         sol = xl.solve_extended_lasso(inst, lam_b,
                                       lam_b / math.sqrt(math.log(64)))
         assert (False, True) in entries

@@ -3,7 +3,11 @@
 When an observation is simply not recorded, its value is zero in y; in the
 scaled model that corresponds to a corruption entry that exactly cancels
 the signal, e*_i = -(X beta* + w)_i / sqrt(n).  The same joint program
-recovers the regression vector and flags which observations were missing.
+recovers the regression vector and flags most of the missing observations,
+not all: a missing row whose signal (X beta* + w)_i is small gives an
+|e*_i| below about lambda_e, which the program does not tell from noise,
+and a few observed rows are flagged too.  Here it flags 373 of the 412
+missing rows, with 18 spurious.
 """
 import numpy as np
 

@@ -78,7 +78,9 @@ def _solver_config(ns) -> SolverConfig:
 
 
 def _resolve_lambdas(ns, inst: ProblemInstance) -> tuple[float, float]:
-    if ns.lambda_beta is not None and ns.lambda_e is not None:
+    if (ns.lambda_beta is None) != (ns.lambda_e is None):
+        raise InputError("pass both --lambda-beta and --lambda-e, or neither")
+    if ns.lambda_beta is not None:
         return ns.lambda_beta, ns.lambda_e
     sigma = ns.sigma
     if sigma is None and inst.truth is not None:

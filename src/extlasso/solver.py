@@ -24,8 +24,8 @@ the alternation, while warm-started supports contract at a linear rate.
 The point on the signed supports (T, S) comes from the restricted closed
 form (continuation, then a subspace solve, as in FPC_AS, Wen, Yin, Goldfarb
 & Zhang 2010), and the supports from primal-dual active-set steps
-(Hintermueller, Ito & Kunisch 2002; _active_set_step): each level is one
-call of _bcd, which starts with one from the current point and runs
+(Hintermueller, Ito & Kunisch 2002; _active_set_step): a visited level is
+one call of _bcd, which starts with one from the current point and runs
 coordinate descent only when it fails.  Its point must keep the signs it
 was solved for; on the path levels, which run to a loose 1e-6, it must also
 not raise the objective and meet the level's tolerance, and at the target
@@ -34,6 +34,15 @@ that rounding is solved again, in extended precision (float80 on x86): one
 ulp of a unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  If
 the target level ends without a certified step, converged=False is
 returned.
+
+The grid is walked with a doubling stride, as continuation grows its step
+while the subproblems stay easy (FPC, Hale, Yin & Zhang 2008).  A level
+whose entry step is accepted (0 sweeps) doubles the stride, and so does an
+accepted skip: one active-set step under the path-level rule at the grid
+level stride ahead, with its own failed starts and no coordinate descent.
+A refused skip resets the stride to 1 and runs the next level through _bcd.
+No skip lands on the target, which is always one _bcd call from the last
+visited level.
 
 The restricted system is the k x k Gram matrix G = X'_{ScT} X_{ScT} of the
 normal equations, so its gate is cond(G) <= _MAX_COND (1e12, from the
@@ -69,7 +78,7 @@ _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
 _STEP_SOLVES = 8  # restricted solves one active-set step may make
-_ROWS = 1024  # rows of X converted to extended precision at a time
+_ROWS = 1024  # rows of X read (and converted to extended precision) at a time
 _PATH_STEPS_PER_DECADE = 3
 
 
@@ -111,8 +120,8 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
         g = X.T @ r
     else:
         g = np.zeros(X.shape[1], dtype=dt)
-        for i in range(0, n, _ROWS):
-            g += X[i:i + _ROWS].astype(dt).T @ r[i:i + _ROWS]
+        for rows, Xb in _row_blocks(X, slice(None), dt):
+            g += Xb.T @ r[rows]
     duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
     on_worst, off = 0.0, []
     for z, v in zip(duals, (beta, e)):
@@ -123,12 +132,23 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
     return duals, on_worst, off[0], off[1]
 
 
+def _row_blocks(X, T, dtype):
+    """(rows, X[rows, T] in dtype) for consecutive blocks of _ROWS rows, so
+    that X[:, T] is read without an n x |T| copy."""
+    for i in range(0, X.shape[0], _ROWS):
+        rows = slice(i, i + _ROWS)
+        yield rows, X[rows, T].astype(dtype, copy=False)
+
+
 def _residual(X, y, beta, e, T):
     """y - X beta - sqrt(n) e in the dtype of beta, where beta is zero off
-    the columns T: O(n |T|) work."""
+    the columns T: O(n |T|) work, in row blocks."""
     dt = beta.dtype
     rn = np.sqrt(dt.type(X.shape[0]))
-    return y - X[:, T].astype(dt, copy=False) @ beta[T] - rn * e
+    r = np.empty(X.shape[0], dtype=dt)
+    for rows, XbT in _row_blocks(X, T, dt):
+        r[rows] = y[rows] - XbT @ beta[T] - rn * e[rows]
+    return r
 
 
 def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
@@ -350,11 +370,10 @@ def _active_set_step(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y,
         seen.add(key)
         T, S = np.flatnonzero(sb), np.flatnonzero(se)
         try:
-            _, _, b, ee = _restricted_point(X, y, T, S, sb[T], se[S], b[T],
-                                            ee[S], lam_b, lam_e, np.float64)
+            _, _, b, ee, r = _restricted_point(X, y, T, S, sb[T], se[S], b[T],
+                                               ee[S], lam_b, lam_e, np.float64)
         except SingularMatrixError:
             break
-        r = _residual(X, y, b, ee, T)
         (z_b, z_e), on, off_b, off_e = _scaled_duals(X, y, b, ee, lam_b,
                                                      lam_e, r)
         new_sb, new_se = (_next_signs(s, v, z, tol)
@@ -377,14 +396,15 @@ def _active_set_step(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y,
         if kkt - err > tol:
             break
         try:
-            point = _restricted_point(X, y, T, S, sb[T], se[S], b[T], ee[S],
-                                      lam_b, lam_e, np.longdouble)[2:]
+            *_, b, ee, r = _restricted_point(X, y, T, S, sb[T], se[S], b[T],
+                                             ee[S], lam_b, lam_e,
+                                             np.longdouble)
         except SingularMatrixError:
             break
-        if _sign_key(*point) == key:
-            kkt = _joint_kkt_residual(X, y, *point, lam_b, lam_e)
+        if _sign_key(b, ee) == key:
+            kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
             if kkt <= tol:
-                return (*point, kkt)
+                return b, ee, kkt
         break
     failed.add(start)
     return None
@@ -405,7 +425,13 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
                          config: SolverConfig | None = None) -> Solution:
     """Solve the joint program from zero down the lambda path; returns a
     Solution (converged flag, no raise on non-convergence).  InputError
-    unless lam_b and lam_e are finite and > 0."""
+    unless lam_b and lam_e are finite and > 0.
+
+    The path's levels (_lambda_levels) are walked with a doubling stride:
+    each level or skip settled by its first active-set step doubles it, the
+    next visit is then a skip (one path-level active-set step, stride levels
+    on, short of the target), and a refused skip resets the stride to 1 and
+    runs the next level.  The target is always a _bcd call."""
     cfg = config or SolverConfig()
     check_finite_positive("lam_b", lam_b)
     check_finite_positive("lam_e", lam_e)
@@ -422,23 +448,36 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     lmax_e = float(np.max(abs_y)) / math.sqrt(n)
     levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e)
 
-    # one _bcd call per level: the path levels run to path_tol, and the
-    # target, the last level, runs to tol_kkt and converges only at a
-    # certified step
+    # i is the last visited level (-1 at the zero start).  A skip to level
+    # i + 1 would repeat that level's entry step, so the level runs instead.
+    # The path levels run to path_tol, and the target, the last level, runs
+    # to tol_kkt and converges only at a certified step.
     path_tol = max(cfg.tol_kkt, _PATH_TOL)
-    total = 0
+    last = len(levels) - 1
+    i, stride, total = -1, 1, 0
     converged = False
-    for i, (lb, le) in enumerate(levels):
-        exact = i == len(levels) - 1
+    while i < last:
+        j = min(i + stride, last - 1)
+        if j > i + 1:
+            step = _active_set_step(instance, beta, e, *levels[j], path_tol,
+                                    col_sq, abs_y, False, set())
+            if step is not None:
+                beta, e, _ = step
+                i, stride = j, 2 * stride
+                continue
+            stride = 1
+        i += 1
+        exact = i == last
         tol = cfg.tol_kkt if exact else path_tol
         budget = cfg.max_iters - total
         max_sweeps = budget if exact else min(budget, _LEVEL_SWEEPS)
         if max_sweeps < 1:
             break
-        beta, e, kkt, it = _bcd(instance, lb, le, beta, e, tol, max_sweeps,
-                                col_sq, abs_y, exact)
+        beta, e, kkt, it = _bcd(instance, *levels[i], beta, e, tol,
+                                max_sweeps, col_sq, abs_y, exact)
         total += it
         converged = exact and kkt is not None
+        stride = 2 * stride if it == 0 else 1
     if not converged:
         kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
     obj = objective_value(instance, beta, e, lam_b, lam_e)
@@ -527,7 +566,7 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
     anchor_S = np.asarray(anchor_e, dtype=dtype)[S]
     return _restricted_point(instance.X, instance.y, T, S, np.sign(anchor_T),
                              np.sign(anchor_S), anchor_T, anchor_S, lam_b,
-                             lam_e, dtype)
+                             lam_e, dtype)[:4]
 
 
 def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
@@ -535,8 +574,13 @@ def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
     """restricted_solution's system with explicit signs on T and S (an
     entering coordinate has anchor 0 and the sign of its dual) and the
     anchor's entries on T and S, all in the order of T and S, solved in
-    dtype.  The columns of X in T are gathered (and converted to dtype)
-    once, and both row blocks are taken from them."""
+    dtype.  Returns (h_T, g_S, beta_hat, e_hat, r), r the residual
+    y - X beta_hat - sqrt(n) e_hat.
+
+    X[:, T] is read _ROWS rows at a time (_row_blocks), converted to dtype:
+    one pass sums G and the right-hand side over the blocks, and one forms
+    X_T h_T and X_T beta_hat_T, so the memory is O(n + |T|^2 + _ROWS |T|),
+    not O(n |T|)."""
     n, p = X.shape
     k, s = len(T), len(S)
     if k > n - s:
@@ -544,32 +588,41 @@ def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
             f"restricted system needs |T| <= n - |S| ({k} > {n - s})")
     y = y.astype(dtype, copy=False)
     rn = np.sqrt(dtype(n))
-    XT = X[:, T].astype(dtype, copy=False)
-    w_eff = y - XT @ anchor_T
-    w_eff[S] -= rn * anchor_S
-    mask = np.ones(n, dtype=bool)
-    mask[S] = False
-    Sc = np.flatnonzero(mask)
-    XScT, XST = XT[Sc], XT[S]
-    del XT
+    on_S = np.zeros(n, dtype=bool)
+    on_S[S] = True
+    sign_rows = np.zeros(n, dtype=dtype)
+    sign_rows[S] = sign_e
+    Xa = np.empty(n, dtype=dtype)
+    G = np.zeros((k, k), dtype=dtype)
+    rhs_Sc, rhs_S = np.zeros(k, dtype=dtype), np.zeros(k, dtype=dtype)
+    for rows, XbT in _row_blocks(X, T, dtype):
+        Xa[rows] = XbT @ anchor_T
+        sc = ~on_S[rows]
+        XbScT = XbT[sc]
+        G += XbScT.T @ XbScT
+        rhs_Sc += XbScT.T @ (y[rows][sc] - Xa[rows][sc])
+        rhs_S += XbT[~sc].T @ sign_rows[rows][~sc]
 
     if k > 0:
-        G = XScT.T @ XScT
         ev = np.linalg.eigvalsh(G.astype(np.float64, copy=False))
         cond = float(ev[-1] / ev[0]) if ev[0] > 0 else math.inf
         if not cond <= _MAX_COND:
             raise SingularMatrixError(
                 "Gram matrix of X restricted to (Sc, T) is ill-conditioned: "
                 f"condition number {cond:.3e}")
-        rhs = XScT.T @ w_eff[Sc] + rn * lam_e * (XST.T @ sign_e) - n * lam_b * sign_beta
-        h_T = _solve_linear(G, rhs)
+        h_T = _solve_linear(G, rhs_Sc + rn * lam_e * rhs_S
+                            - n * lam_b * sign_beta)
     else:
         h_T = np.zeros(0, dtype=dtype)
 
-    g_S = -(XST @ h_T) / rn + w_eff[S] / rn - lam_e * sign_e
-
     beta_hat = np.zeros(p, dtype=dtype)
     beta_hat[T] = anchor_T + h_T
+    Xh, Xb = np.empty(n, dtype=dtype), np.empty(n, dtype=dtype)
+    for rows, XbT in _row_blocks(X, T, dtype):
+        Xh[rows] = XbT @ h_T
+        Xb[rows] = XbT @ beta_hat[T]
+    w_S = y[S] - Xa[S] - rn * anchor_S
+    g_S = -Xh[S] / rn + w_S / rn - lam_e * sign_e
     e_hat = np.zeros(n, dtype=dtype)
     e_hat[S] = anchor_S + g_S
-    return h_T, g_S, beta_hat, e_hat
+    return h_T, g_S, beta_hat, e_hat, y - Xb - rn * e_hat

@@ -184,6 +184,16 @@ class TestErrorPaths:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda-beta", "0.5"], ["--lambda-e", "0.5"],
+        ["--lambda-beta", "nan"], ["--lambda-e", "nan"]])
+    def test_lone_lambda_option_exits_2(self, instance_file, capsys, flags):
+        # one explicit penalty used to be ignored in favour of the
+        # --lambda-family pair, with exit 0
+        code, _, err = run_cli(["solve", str(instance_file), *flags], capsys)
+        assert code == 2
+        assert "input error" in err
+
     def test_converged_must_be_a_boolean_exits_2(self, tmp_path,
                                                  instance_file, capsys):
         sol_path = self._solution_file(tmp_path, instance_file, capsys)

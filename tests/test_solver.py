@@ -447,7 +447,7 @@ class TestExactFinish:
         def restricted_point(X, y, T, S, sb, se, aT, aS, lb, le, dtype):
             out = real(X, y, T, S, sb, se, aT, aS, lb, le, dtype)
             if (lb, le) == (lam_b, lam_e):
-                outcomes.append(outcome(T, S, sb, se, *out[2:], dtype))
+                outcomes.append(outcome(T, S, sb, se, *out[2:4], dtype))
             return out
 
         monkeypatch.setattr(solver, "_restricted_point", restricted_point)
@@ -934,3 +934,122 @@ class TestRestrictedSolution:
         _, _, beta_r, e_r = xl.restricted_solution(inst, t.T, t.S, *pair)
         np.testing.assert_allclose(sol.beta_hat, beta_r, atol=1e-8)
         np.testing.assert_allclose(sol.e_hat, e_r, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_row_blocks_against_normal_equations_oracle(self, dtype):
+        """X[:, T] is read in blocks of _ROWS rows: with n over two blocks
+        (the last one partial) the point matches the dense oracle, in
+        float64 and in extended precision, and the residual returned with
+        it is y - X beta_hat - sqrt(n) e_hat in the same dtype."""
+        n = 2 * solver._ROWS + 37
+        inst = xl.gen_instance(n, 12, k=4, s=n // 4, sigma=0.1, seed=35)
+        t = inst.truth
+        lam_b, lam_e = 0.03, 0.02
+        a_T, a_S = t.beta_star[t.T].astype(dtype), t.e_star[t.S].astype(dtype)
+        hT, gS, b, ee, r = solver._restricted_point(
+            inst.X, inst.y, t.T, t.S, np.sign(a_T), np.sign(a_S), a_T, a_S,
+            lam_b, lam_e, dtype)
+        hT_ref, gS_ref = restricted_by_normal_equations(
+            inst.X, inst.y, t.beta_star, t.e_star, t.w, list(t.T), list(t.S),
+            lam_b, lam_e)
+        np.testing.assert_allclose(hT.astype(float), hT_ref, atol=1e-10)
+        np.testing.assert_allclose(gS.astype(float), gS_ref, atol=1e-10)
+        assert r.dtype == dtype
+        r_ref = inst.y - inst.X.astype(dtype) @ b - np.sqrt(dtype(n)) * ee
+        tol = 1e3 * np.finfo(dtype).eps * np.max(np.abs(inst.y))
+        assert np.max(np.abs(r - r_ref)) <= tol
+
+
+class TestStride:
+    """solve_extended_lasso walks the lambda grid with a doubling stride:
+    skips are active-set steps made outside any _bcd call."""
+
+    TARGET = (5e-9, 5e-9 / math.sqrt(math.log(64)))
+
+    @staticmethod
+    def record(monkeypatch, refuse_skips=False):
+        """Log every visit, ("bcd", lambdas) per _bcd call and ("skip",
+        lambdas, accepted) per skip, the grid and the restricted solves;
+        with refuse_skips every skip is refused."""
+        log = {"visits": [], "levels": None, "solves": 0}
+        inside = []  # one entry per _bcd call in progress
+        real_bcd, real_step = solver._bcd, solver._active_set_step
+        real_point, real_levels = solver._restricted_point, \
+            solver._lambda_levels
+
+        def bcd(instance, lb, le, *args):
+            log["visits"].append(("bcd", (lb, le)))
+            inside.append(True)
+            try:
+                return real_bcd(instance, lb, le, *args)
+            finally:
+                inside.pop()
+
+        def step(instance, beta, e, lb, le, *args):
+            if inside:
+                return real_step(instance, beta, e, lb, le, *args)
+            out = None if refuse_skips else \
+                real_step(instance, beta, e, lb, le, *args)
+            log["visits"].append(("skip", (lb, le), out is not None))
+            return out
+
+        def point(*args):
+            log["solves"] += 1
+            return real_point(*args)
+
+        def levels(*args):
+            log["levels"] = real_levels(*args)
+            return log["levels"]
+
+        monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "_active_set_step", step)
+        monkeypatch.setattr(solver, "_restricted_point", point)
+        monkeypatch.setattr(solver, "_lambda_levels", levels)
+        return log
+
+    def test_fewer_visits_and_restricted_solves(self, monkeypatch):
+        """On the benchmark's noiseless instance the solve visits fewer
+        levels than the grid holds and makes at most 45 restricted solves
+        (57 when every level is visited)."""
+        inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
+        log = self.record(monkeypatch)
+        sol = xl.solve_extended_lasso(inst, *self.TARGET)
+        assert len(log["visits"]) < len(log["levels"])
+        assert log["solves"] <= 45
+        assert sol.converged and sol.iterations == 0
+
+    def test_refused_skips_visit_every_level(self, monkeypatch):
+        """With every skip refused, each refusal runs the next level, so
+        the lambda pairs handed to _bcd are the grid in order, and the
+        answer keeps the signs and the converged flag of the solve with
+        skips."""
+        inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
+        ref = xl.solve_extended_lasso(inst, *self.TARGET)
+        log = self.record(monkeypatch, refuse_skips=True)
+        sol = xl.solve_extended_lasso(inst, *self.TARGET)
+        assert any(v[0] == "skip" for v in log["visits"])
+        assert [v[1] for v in log["visits"] if v[0] == "bcd"] == \
+            log["levels"]
+        assert sol.converged == ref.converged
+        for got, want in ((sol.beta_hat, ref.beta_hat),
+                          (sol.e_hat, ref.e_hat)):
+            assert np.array_equal(np.sign(got), np.sign(want))
+
+    @pytest.mark.parametrize("make, target", [
+        (lambda: xl.gen_instance(890, 64, k=4, s=445, sigma=0.0,
+                                 seed=(101, 0)), TARGET),
+        (lambda: xl.gen_instance(200, 16, k=3, s=100, sigma=0.0, seed=3),
+         (5e-9, 2.5e-9)),
+        (lambda: xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31),
+         tuple(xl.lambdas_simulation(0.15, 60, 15)))])
+    def test_no_skip_lands_on_the_target(self, monkeypatch, make, target):
+        """Skips are made and accepted, none at the target pair, and the
+        solve ends with one _bcd call at the target."""
+        inst = make()
+        log = self.record(monkeypatch)
+        xl.solve_extended_lasso(inst, *target)
+        skips = [v for v in log["visits"] if v[0] == "skip"]
+        assert any(accepted for _, _, accepted in skips)
+        assert all(pair != target for _, pair, _ in skips)
+        assert log["visits"][-1] == ("bcd", target)
+        assert [v[1] for v in log["visits"]].count(target) == 1

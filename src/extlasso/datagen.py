@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GenerationMeta, GroundTruth, InputError, ProblemInstance)
+from .model import (_ROWS, GenerationMeta, GroundTruth, InputError,
+                    ProblemInstance)
 from .rng import (STREAM_BETA_MAG, STREAM_BETA_SUPPORT, STREAM_DESIGN,
                   STREAM_E_MAG, STREAM_E_SUPPORT, STREAM_NOISE, stream)
 
@@ -110,17 +111,27 @@ class SparsityRegime:
 
 
 def gen_design(n: int, p: int, spec: CovarianceSpec | None = None, seed=0) -> np.ndarray:
-    """n-by-p matrix with rows i.i.d. N(0, Sigma), via the Cholesky factor."""
+    """n-by-p matrix with rows i.i.d. N(0, Sigma), via the Cholesky factor.
+
+    X is allocated once, in Fortran order, and filled _ROWS rows at a time
+    from one reused buffer of standard normals (times L' per block when
+    Sigma is not the identity), so the design is the only n-by-p array
+    generation holds.  The blocks continue one stream, so X equals the
+    one-shot draw of the whole (n, p) matrix in C order."""
     if n < 1 or p < 1:
         raise InputError("need n >= 1 and p >= 1")
     spec = spec or CovarianceSpec("identity", p=p)
     rng = stream(seed, STREAM_DESIGN)
-    Z = rng.standard_normal((n, p))
-    if spec.kind == "identity" or (spec.kind == "ar1" and spec.rho == 0.0):
-        return np.asfortranarray(Z)
-    sigma = spec.materialize(p)
-    L = np.linalg.cholesky(sigma)
-    return np.asfortranarray(Z @ L.T)
+    L_T = None
+    if not (spec.kind == "identity" or (spec.kind == "ar1" and spec.rho == 0.0)):
+        L_T = np.linalg.cholesky(spec.materialize(p)).T
+    X = np.empty((n, p), order="F")
+    Z = np.empty((min(n, _ROWS), p))
+    for i in range(0, n, _ROWS):
+        Zb = Z[:min(_ROWS, n - i)]
+        rng.standard_normal(out=Zb)
+        X[i:i + _ROWS] = Zb if L_T is None else Zb @ L_T
+    return X
 
 
 def gen_sparse_vector(dim: int, support_size: int, seed=0, *,

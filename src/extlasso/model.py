@@ -25,6 +25,7 @@ import numpy as np
 DEFAULT_ZERO_TOL = 1e-8
 
 _RECONSTRUCTION_RTOL = 1e-10
+_ROWS = 1024  # rows of X drawn, read or converted to extended precision at a time
 
 
 class InputError(ValueError):
@@ -133,7 +134,9 @@ class ProblemInstance:
     """A design matrix, observations and (optionally) the planted truth.
 
     X is kept Fortran-ordered so column slices, the unit of work of the
-    coordinate-descent solver, are contiguous.
+    coordinate-descent solver, are contiguous.  An X that is already a
+    Fortran-ordered float64 array is kept as it is, not copied, so an
+    instance from gen_instance holds the one design that gen_design filled.
     """
 
     X: np.ndarray
@@ -257,19 +260,41 @@ def residual_objective(r, beta, e, lambda_beta: float,
         + lambda_e * float(np.abs(e).sum())
 
 
+def _row_blocks(X, T, dtype):
+    """(rows, X[rows, T] in dtype) for consecutive blocks of _ROWS rows, so
+    that X[:, T] is read without an n x |T| copy."""
+    for i in range(0, X.shape[0], _ROWS):
+        rows = slice(i, i + _ROWS)
+        yield rows, X[rows, T].astype(dtype, copy=False)
+
+
+def _residual(X, y, beta, e, T):
+    """y - X beta - sqrt(n) e in the dtype of beta, where beta is zero off
+    the columns T: O(n |T|) work, in row blocks."""
+    dt = beta.dtype
+    rn = np.sqrt(dt.type(X.shape[0]))
+    r = np.empty(X.shape[0], dtype=dt)
+    for rows, XbT in _row_blocks(X, T, dt):
+        r[rows] = y[rows] - XbT @ beta[T] - rn * e[rows]
+    return r
+
+
 def objective_value(instance: ProblemInstance, beta, e,
                     lambda_beta: float, lambda_e: float) -> float:
-    """(1/2n)||y - X beta - sqrt(n) e||^2 + lambda_beta ||beta||_1 + lambda_e ||e||_1."""
+    """(1/2n)||y - X beta - sqrt(n) e||^2 + lambda_beta ||beta||_1 + lambda_e ||e||_1.
+
+    The residual is summed over the support columns of beta only, in row
+    blocks (_residual): the skipped columns add exact zeros, and an
+    extended-precision beta converts _ROWS rows of X at a time, not X."""
     if lambda_beta <= 0 or lambda_e <= 0:
         raise InputError("lambda_beta and lambda_e must be > 0")
     n, p = instance.X.shape
     dtype = np.result_type(np.asarray(beta).dtype, np.float64)
     b = _as_vector("beta", beta, p, dtype=dtype)
     ev = _as_vector("e", e, n, dtype=dtype)
-    X = instance.X.astype(dtype, copy=False)
     y = instance.y.astype(dtype, copy=False)
-    val = residual_objective(y - X @ b - np.sqrt(dtype.type(n)) * ev, b, ev,
-                             lambda_beta, lambda_e)
+    r = _residual(instance.X, y, b, ev, np.flatnonzero(b))
+    val = residual_objective(r, b, ev, lambda_beta, lambda_e)
     if not np.isfinite(val):
         raise NumericError("objective is non-finite")
     return val

@@ -63,9 +63,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (InputError, NumericError, ProblemInstance,
-                    SingularMatrixError, Solution, check_finite_positive,
-                    index_array, objective_value, residual_objective)
+from .model import (_ROWS, InputError, NumericError, ProblemInstance,
+                    SingularMatrixError, Solution, _residual, _row_blocks,
+                    check_finite_positive, index_array, objective_value,
+                    residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -78,7 +79,6 @@ _STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.
 _KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
 _STEP_SOLVES = 8  # restricted solves one active-set step may make
-_ROWS = 1024  # rows of X read (and converted to extended precision) at a time
 _PATH_STEPS_PER_DECADE = 3
 
 
@@ -130,25 +130,6 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
                                               initial=0.0)))
         off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
     return duals, on_worst, off[0], off[1]
-
-
-def _row_blocks(X, T, dtype):
-    """(rows, X[rows, T] in dtype) for consecutive blocks of _ROWS rows, so
-    that X[:, T] is read without an n x |T| copy."""
-    for i in range(0, X.shape[0], _ROWS):
-        rows = slice(i, i + _ROWS)
-        yield rows, X[rows, T].astype(dtype, copy=False)
-
-
-def _residual(X, y, beta, e, T):
-    """y - X beta - sqrt(n) e in the dtype of beta, where beta is zero off
-    the columns T: O(n |T|) work, in row blocks."""
-    dt = beta.dtype
-    rn = np.sqrt(dt.type(X.shape[0]))
-    r = np.empty(X.shape[0], dtype=dt)
-    for rows, XbT in _row_blocks(X, T, dt):
-        r[rows] = y[rows] - XbT @ beta[T] - rn * e[rows]
-    return r
 
 
 def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
@@ -564,29 +545,34 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
         anchor_e = instance.truth.e_star
     anchor_T = np.asarray(anchor_beta, dtype=dtype)[T]
     anchor_S = np.asarray(anchor_e, dtype=dtype)[S]
-    return _restricted_point(instance.X, instance.y, T, S, np.sign(anchor_T),
-                             np.sign(anchor_S), anchor_T, anchor_S, lam_b,
-                             lam_e, dtype)[:4]
+    X, y = instance.X, instance.y.astype(dtype, copy=False)
+    h_T, beta_hat, w_S = _restricted_system(
+        X, y, T, S, np.sign(anchor_T), np.sign(anchor_S), anchor_T, anchor_S,
+        lam_b, lam_e, dtype)
+    Xh = np.empty(n, dtype=dtype)
+    for rows, XbT in _row_blocks(X, T, dtype):
+        Xh[rows] = XbT @ h_T
+    g_S, e_hat = _restricted_e(n, S, np.sign(anchor_S), anchor_S, w_S, Xh[S],
+                               lam_e)
+    return h_T, g_S, beta_hat, e_hat
 
 
-def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
-                      lam_b, lam_e, dtype):
+def _restricted_system(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
+                       lam_b, lam_e, dtype):
     """restricted_solution's system with explicit signs on T and S (an
     entering coordinate has anchor 0 and the sign of its dual) and the
     anchor's entries on T and S, all in the order of T and S, solved in
-    dtype.  Returns (h_T, g_S, beta_hat, e_hat, r), r the residual
-    y - X beta_hat - sqrt(n) e_hat.
+    dtype (y already in dtype).  Returns (h_T, beta_hat, w_S), w_S =
+    y_S - X_{S,T} anchor_T - sqrt(n) anchor_S.
 
-    X[:, T] is read _ROWS rows at a time (_row_blocks), converted to dtype:
-    one pass sums G and the right-hand side over the blocks, and one forms
-    X_T h_T and X_T beta_hat_T, so the memory is O(n + |T|^2 + _ROWS |T|),
-    not O(n |T|)."""
+    X[:, T] is read _ROWS rows at a time (_row_blocks), converted to dtype,
+    in one pass that sums G and the right-hand side over the blocks, so
+    the memory is O(n + |T|^2 + _ROWS |T|), not O(n |T|)."""
     n, p = X.shape
     k, s = len(T), len(S)
     if k > n - s:
         raise SingularMatrixError(
             f"restricted system needs |T| <= n - |S| ({k} > {n - s})")
-    y = y.astype(dtype, copy=False)
     rn = np.sqrt(dtype(n))
     on_S = np.zeros(n, dtype=bool)
     on_S[S] = True
@@ -617,12 +603,32 @@ def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
 
     beta_hat = np.zeros(p, dtype=dtype)
     beta_hat[T] = anchor_T + h_T
+    return h_T, beta_hat, y[S] - Xa[S] - rn * anchor_S
+
+
+def _restricted_e(n, S, sign_e, anchor_S, w_S, Xh_S, lam_e):
+    """(g_S, e_hat) of the restricted system from w_S and X_{S,T} h_T."""
+    rn = np.sqrt(w_S.dtype.type(n))
+    g_S = -Xh_S / rn + w_S / rn - lam_e * sign_e
+    e_hat = np.zeros(n, dtype=w_S.dtype)
+    e_hat[S] = anchor_S + g_S
+    return g_S, e_hat
+
+
+def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
+                      lam_b, lam_e, dtype):
+    """The restricted point (_restricted_system) with its residual:
+    returns (h_T, g_S, beta_hat, e_hat, r), r = y - X beta_hat -
+    sqrt(n) e_hat.  One more pass over the blocks of X[:, T] forms X_T h_T
+    and X_T beta_hat_T."""
+    n = X.shape[0]
+    y = y.astype(dtype, copy=False)
+    h_T, beta_hat, w_S = _restricted_system(X, y, T, S, sign_beta, sign_e,
+                                            anchor_T, anchor_S, lam_b, lam_e,
+                                            dtype)
     Xh, Xb = np.empty(n, dtype=dtype), np.empty(n, dtype=dtype)
     for rows, XbT in _row_blocks(X, T, dtype):
         Xh[rows] = XbT @ h_T
         Xb[rows] = XbT @ beta_hat[T]
-    w_S = y[S] - Xa[S] - rn * anchor_S
-    g_S = -Xh[S] / rn + w_S / rn - lam_e * sign_e
-    e_hat = np.zeros(n, dtype=dtype)
-    e_hat[S] = anchor_S + g_S
-    return h_T, g_S, beta_hat, e_hat, y - Xb - rn * e_hat
+    g_S, e_hat = _restricted_e(n, S, sign_e, anchor_S, w_S, Xh[S], lam_e)
+    return h_T, g_S, beta_hat, e_hat, y - Xb - np.sqrt(dtype(n)) * e_hat

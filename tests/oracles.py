@@ -16,6 +16,12 @@ does not need at run time.
   supports need: the kink guard evaluated on every row, and the residual
   y - X beta - sqrt(n) e summed over every column of X.  The solver must
   reproduce both bit for bit.
+- design_one_shot and objective_full_x are gen_design and objective_value
+  as they were before they stopped holding a second n x p array: the whole
+  design drawn in one call in C order and copied to Fortran order, and the
+  residual summed over every column of X converted to the dtype of beta
+  at once.  gen_design must reproduce the first bit for bit under an
+  identity covariance, and objective_value the second.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ import numpy as np
 
 from extlasso.diagnostics import ReEstimate
 from extlasso.model import InputError
-from extlasso.rng import stream
+from extlasso.rng import STREAM_DESIGN, stream
 
 
 def soft_threshold(x, t):
@@ -72,6 +78,27 @@ def scaled_duals_all_columns(X, y, beta, e, lam_b, lam_e, rows=1024):
                                               initial=0.0)))
         off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
     return duals, on_worst, off[0], off[1]
+
+
+def design_one_shot(n, p, spec=None, seed=0):
+    """Rows i.i.d. N(0, Sigma): one (n, p) standard-normal draw, times L'
+    unless Sigma is the identity (or ar1 with rho = 0), in Fortran order."""
+    Z = stream(seed, STREAM_DESIGN).standard_normal((n, p))
+    if spec is None or spec.kind == "identity" \
+            or (spec.kind == "ar1" and spec.rho == 0.0):
+        return np.asfortranarray(Z)
+    return np.asfortranarray(Z @ np.linalg.cholesky(spec.materialize(p)).T)
+
+
+def objective_full_x(instance, beta, e, lam_b, lam_e):
+    """(1/2n)||y - X beta - sqrt(n) e||^2 + lam_b ||beta||_1 + lam_e ||e||_1
+    with all of X converted to the dtype of beta."""
+    dt = beta.dtype
+    n = instance.X.shape[0]
+    r = instance.y.astype(dt) - instance.X.astype(dt) @ beta \
+        - np.sqrt(dt.type(n)) * e
+    return 0.5 / n * float(r @ r) + lam_b * float(np.abs(beta).sum()) \
+        + lam_e * float(np.abs(e).sum())
 
 
 def _cone_ratio(X, h, f):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import extlasso as xl
 from extlasso.datagen import CovarianceSpec, SparsityRegime
+from oracles import design_one_shot
 
 
 def scan_n_from_theta(theta, k, p):
@@ -49,6 +51,40 @@ class TestDesign:
         a = xl.gen_design(30, 5, seed=(1, 2, 3))
         b = xl.gen_design(30, 5, seed=(1, 2, 3))
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2055])
+    @pytest.mark.parametrize("seed", [4, (7, 6, 2)])
+    @pytest.mark.parametrize("spec", [None, CovarianceSpec("ar1", p=9, rho=0.0)])
+    def test_streamed_blocks_match_one_shot_draw(self, n, seed, spec):
+        """The design is drawn in blocks of 1024 rows that continue one
+        stream: under an identity covariance it is byte for byte the
+        one-shot draw, whether n fills its last block or not."""
+        X = xl.gen_design(n, 9, spec, seed=seed)
+        assert X.flags.f_contiguous
+        assert X.tobytes(order="A") == \
+            design_one_shot(n, 9, spec, seed).tobytes(order="A")
+
+    @pytest.mark.parametrize("spec", [
+        CovarianceSpec("ar1", p=7, rho=0.6),
+        CovarianceSpec("explicit", matrix=0.5 * np.eye(7) + 0.5)])
+    def test_correlated_blocks_match_one_shot_draw(self, spec):
+        """Under a general covariance each block is multiplied by L' on its
+        own, which may round differently from the one-shot product."""
+        X = xl.gen_design(2055, 7, spec, seed=8)
+        assert X.flags.f_contiguous
+        np.testing.assert_allclose(X, design_one_shot(2055, 7, spec, 8),
+                                   rtol=0, atol=1e-12)
+
+    def test_generation_holds_one_design(self):
+        """A theta = 8 criterion-2 instance holds X and 1024-row buffers,
+        not a second n x p copy: the traced peak stays below 1.3 X.nbytes."""
+        tracemalloc.start()
+        try:
+            inst = xl.gen_instance(11455, 128, k=8, s=5727, sigma=0.1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * inst.X.nbytes
 
 
 class TestSparseVector:

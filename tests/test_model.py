@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import extlasso as xl
 from extlasso.model import instance_from_dict
+from oracles import objective_full_x
 
 
 def naive_objective(X, y, beta, e, lam_b, lam_e):
@@ -99,6 +102,28 @@ class TestObjective:
                                            sol.e_hat + de,
                                            *pair)
             assert perturbed >= sol.objective - 1e-9
+
+
+    def test_extended_precision_over_support_columns(self):
+        """A longdouble point: the residual over the support columns of
+        beta, in row blocks, is the full-X residual bit for bit (the other
+        columns add exact zeros), and no longdouble copy of X is made."""
+        inst = xl.gen_instance(2055, 64, k=5, s=600, sigma=0.1, seed=15)
+        t = inst.truth
+        rng = np.random.default_rng(15)
+        beta = (t.beta_star + 1e-3 * (t.beta_star != 0)
+                * rng.standard_normal(64)).astype(np.longdouble)
+        beta[t.T] += np.longdouble(1) / 3
+        e = t.e_star.astype(np.longdouble) / 3
+        want = objective_full_x(inst, beta, e, 0.11, 0.23)
+        tracemalloc.start()
+        try:
+            got = xl.objective_value(inst, beta, e, 0.11, 0.23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < inst.X.nbytes
 
 
 class TestProblemInstance:

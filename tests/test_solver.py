@@ -960,6 +960,23 @@ class TestRestrictedSolution:
         assert np.max(np.abs(r - r_ref)) <= tol
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_public_point_is_the_solver_point(self, dtype):
+        """restricted_solution forms no residual, and its four items are
+        the solver's _restricted_point bit for bit, over two row blocks."""
+        n = 2 * solver._ROWS + 37
+        inst = xl.gen_instance(n, 12, k=4, s=n // 4, sigma=0.1, seed=36)
+        t = inst.truth
+        a_T, a_S = t.beta_star[t.T].astype(dtype), t.e_star[t.S].astype(dtype)
+        got = xl.restricted_solution(inst, t.T, t.S, 0.03, 0.02, dtype=dtype)
+        want = solver._restricted_point(inst.X, inst.y, t.T, t.S,
+                                        np.sign(a_T), np.sign(a_S), a_T, a_S,
+                                        0.03, 0.02, dtype)
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and np.array_equal(a, b)
+
+
 class TestStride:
     """solve_extended_lasso walks the lambda grid with a doubling stride:
     skips are active-set steps made outside any _bcd call."""

@@ -106,8 +106,8 @@ def _cmd_solve(ns) -> int:
     sol = solve_extended_lasso(inst, lam_b, lam_e, _solver_config(ns))
     _write_text(ns.output, sol.to_json())
     if not sol.converged:
-        print(f"[extlasso] warning: not converged "
-              f"(kkt residual {sol.kkt_residual:.3e})", file=sys.stderr)
+        print(f"[extlasso] warning: not converged ({sol.stop}, "
+              f"kkt residual {sol.kkt_residual:.3e})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -254,15 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda-e", type=float, default=None)
     s.add_argument("--lambda-family", default="simulation")
     s.add_argument("--sigma", type=float, default=None)
-    s.add_argument("--max-iters", type=int, default=50_000)
-    s.add_argument("--tol-kkt", type=float, default=1e-9)
+    s.add_argument("--max-iters", type=int, default=SolverConfig().max_iters,
+                   help="cap on feature-sign steps (none where batch "
+                        "active-set steps settle every level)")
+    s.add_argument("--tol-kkt", type=float, default=SolverConfig().tol_kkt)
     s.add_argument("-o", "--output", default="-")
     s.set_defaults(func=_cmd_solve)
 
     v = sub.add_parser("verify", help="certify a solution against an instance")
     v.add_argument("instance")
     v.add_argument("solution")
-    v.add_argument("--tol-kkt", type=float, default=1e-9)
+    v.add_argument("--tol-kkt", type=float, default=SolverConfig().tol_kkt)
     v.add_argument("-o", "--output", default="-")
     v.set_defaults(func=_cmd_verify)
 

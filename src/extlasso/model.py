@@ -24,6 +24,10 @@ import numpy as np
 #: signals, above the solver's KKT tolerance.
 DEFAULT_ZERO_TOL = 1e-8
 
+#: Why a solve stopped unconverged (Solution.stop): its signs held but its
+#: residual missed tol, also in extended precision; max_iters; no step left.
+STOP_REASONS = ("precision", "budget", "singular")
+
 _RECONSTRUCTION_RTOL = 1e-10
 _ROWS = 1024  # rows of X drawn, read or converted to extended precision at a time
 
@@ -133,8 +137,8 @@ class GenerationMeta:
 class ProblemInstance:
     """A design matrix, observations and (optionally) the planted truth.
 
-    X is kept Fortran-ordered so column slices, the unit of work of the
-    coordinate-descent solver, are contiguous.  An X that is already a
+    X is kept Fortran-ordered so column slices, which the solver reads
+    for the support columns of beta, are contiguous.  An X that is already a
     Fortran-ordered float64 array is kept as it is, not copied, so an
     instance from gen_instance holds the one design that gen_design filled.
     """
@@ -195,15 +199,19 @@ class Solution:
     lambda_beta: float
     lambda_e: float
     objective: float
-    iterations: int  # beta sweeps; restricted solves are not counted
+    iterations: int  # feature-sign steps; 0 if batch steps settle every level
     converged: bool
     kkt_residual: float
+    stop: Optional[str] = None  # a STOP_REASONS entry when not converged
 
     def __post_init__(self):
         check_finite_positive("lambda_beta", self.lambda_beta)
         check_finite_positive("lambda_e", self.lambda_e)
         _check_finite("beta_hat", self.beta_hat)
         _check_finite("e_hat", self.e_hat)
+        if self.stop not in (None, *STOP_REASONS):
+            raise InputError(f"stop must be one of {STOP_REASONS} or None, "
+                             f"got {self.stop!r}")
 
     def validate_objective(self, instance: ProblemInstance, rtol: float = 1e-10) -> None:
         """Check the stored objective against a recomputation from the fields."""
@@ -385,6 +393,7 @@ def solution_to_dict(sol: Solution) -> dict:
         "iterations": sol.iterations,
         "converged": sol.converged,
         "kkt_residual": sol.kkt_residual,
+        "stop": sol.stop,
     }
 
 
@@ -403,4 +412,5 @@ def solution_from_dict(d: dict) -> Solution:
         iterations=int(d["iterations"]),
         converged=d["converged"],
         kkt_residual=float(d["kkt_residual"]),
+        stop=d.get("stop"),
     )

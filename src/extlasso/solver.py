@@ -5,55 +5,40 @@
 
 and for its restriction to fixed supports (closed form).
 
-The joint solver settles each lambda level with active-set steps on signed
-supports (below) and falls back to coordinate descent, which is also the
-kernel of solve_standard_lasso: one sweep of cyclic coordinate descent on
-beta alternates with an exact e-update (the e-subproblem is separable
-soft-thresholding).  Each beta sweep visits only a working set W: the
-support of beta plus every zero coordinate whose scaled dual
-|X_j'r|/(n lambda_beta) is at least 1, since any other zero coordinate
-would be left at zero by its own update.
-W is formed when a level starts and refreshed from the scaled duals of the
-in-loop KKT check, which still covers all p coordinates, so when a level
-stops and what it certifies do not depend on W.
-
 Every solve starts from zero and drives regularization down a geometric
 lambda path (largest lambda first, warm starts): a cold start at very small
-lambda_e lets the corruption block absorb the entire residual and stalls
-the alternation, while warm-started supports contract at a linear rate.
-The point on the signed supports (T, S) comes from the restricted closed
-form (continuation, then a subspace solve, as in FPC_AS, Wen, Yin, Goldfarb
-& Zhang 2010), and the supports from primal-dual active-set steps
-(Hintermueller, Ito & Kunisch 2002; _active_set_step): a visited level is
-one call of _bcd, which starts with one from the current point and runs
-coordinate descent only when it fails.  Its point must keep the signs it
-was solved for; on the path levels, which run to a loose 1e-6, it must also
-not raise the objective and meet the level's tolerance, and at the target
-it must certify, with room for its float64 rounding.  Only a miss within
-that rounding is solved again, in extended precision (float80 on x86): one
-ulp of a unit-scale coordinate moves the scaled dual by ~2e-16/lambda.  If
-the target level ends without a certified step, converged=False is
-returned.
+lambda_e lets the corruption block absorb the entire residual.  The point on
+signed supports (T, S) is the restricted closed form (continuation, then a
+subspace solve, as in FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  A visited
+level is one call of _level, the one active-set kernel, in two phases:
+
+- the batch step (_active_set_step): primal-dual active-set iterations
+  (Hintermueller, Ito & Kunisch 2002) that drop every coordinate whose sign
+  flips and add every violating one at once;
+- only if it fails, monotone feature-sign steps from the level's start
+  (_feature_sign_step; Lee, Battle, Raina & Ng 2007, "Efficient sparse coding
+  algorithms"; cf. Osborne, Presnell & Turlach 2000): one coordinate enters
+  at a time, and an exact line search keeps the objective from rising.
+  Where the restricted system is refused, a step in its null space, which
+  leaves the residual unchanged, is the way out of supports with
+  |T| > n - |S| that no move of beta alone can leave.
+
+Both phases end at one judge (_judge): the path levels run to a loose 1e-6,
+and the target must certify, in extended precision (float80 on x86) where
+float64 rounding can explain a miss.  If the target level ends without a
+certified point, converged=False is returned with the reason (STOP_REASONS).
 
 The grid is walked with a doubling stride, as continuation grows its step
 while the subproblems stay easy (FPC, Hale, Yin & Zhang 2008).  A level
-whose entry step is accepted (0 sweeps) doubles the stride, and so does an
-accepted skip: one active-set step under the path-level rule at the grid
-level stride ahead, with its own failed starts and no coordinate descent.
-A refused skip resets the stride to 1 and runs the next level through _bcd.
-No skip lands on the target, which is always one _bcd call from the last
-visited level.
+that its batch step settles (0 feature-sign steps) doubles the stride, and
+so does an accepted skip: one batch step under the path-level rule at the
+grid level stride ahead.  A refused skip resets the stride to 1 and runs
+the next level.  No skip lands on the target, which is always one _level
+call from the last visited level.
 
 The restricted system is the k x k Gram matrix G = X'_{ScT} X_{ScT} of the
 normal equations, so its gate is cond(G) <= _MAX_COND (1e12, from the
 eigenvalues of G), i.e. cond(X_{ScT}) <= 1e6.
-
-A sweep costs only what its supports need: the beta sweep touches the
-columns of the working set, the e-step evaluates its kink guard only on
-rows near the threshold, and residuals formed from scratch at a restricted
-point use the support columns of beta only.  The full X'r, O(np), is
-formed only where a KKT residual needs it: at the in-loop checks, every
-_KKT_REFRESH sweeps, and at a restricted point.
 """
 from __future__ import annotations
 
@@ -63,32 +48,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_ROWS, InputError, NumericError, ProblemInstance,
+from .model import (_ROWS, STOP_REASONS, InputError, ProblemInstance,
                     SingularMatrixError, Solution, _residual, _row_blocks,
                     check_finite_positive, index_array, objective_value,
                     residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
-_LEVEL_SWEEPS = 1000  # sweep cap of an intermediate path level
-_RESIDUAL_REFRESH = 64  # sweeps between from-scratch residual recomputations
-_KKT_REFRESH = 4  # sweeps between in-loop KKT residual checks
-_STALL_LIMIT = 50
-_TOL_OBJ = 1e-12  # a sweep that lowers the objective by less stalls
-_STALL_KKT_IMPROVEMENT = 0.999  # progress means beating the best residual by 0.1%
-_KINK_GUARD_ULPS = 16.0  # e-updates this close to the threshold count as ties
 _ROUNDING_ULPS = 4.0  # rounding of each term summed into r, in ulps
-_STEP_SOLVES = 8  # restricted solves one active-set step may make
+_STEP_SOLVES = 8  # restricted solves one batch step may make
 _PATH_STEPS_PER_DECADE = 3
+# relative gaps that read as ties: of dual violations, of a null slope and 0
+_TIE_RTOL = 64.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Termination settings.
 
-    max_iters caps the sweeps of a whole solve.  tol_kkt is the target
-    stationarity residual (scaled dual units): max over coordinates of
-    |z_i - sgn x_i| on the support and of max(|z_i| - 1, 0) off it.
+    max_iters caps the feature-sign steps of a whole solve; a level that
+    its batch active-set step settles makes none, so the count is 0 where
+    that happens on every level.  tol_kkt is the target stationarity
+    residual (scaled dual units): max over coordinates of |z_i - sgn x_i|
+    on the support and of max(|z_i| - 1, 0) off it.
     """
 
     max_iters: int = 50_000
@@ -134,171 +116,35 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
 
 def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
     """Max stationarity violation of the joint program at (beta, e)."""
-    _, on, off_b, off_e = _scaled_duals(X, y, beta, e, lam_b, lam_e, r)
-    return max(on, off_b - 1.0, off_e - 1.0, 0.0)
+    return _duals(X, y, beta, e, lam_b, lam_e, r)[2]
 
 
-def _abs_X_beta(X, beta):
-    """|X| |beta|, summed over the support columns of beta only."""
-    T = np.flatnonzero(beta)
-    return np.abs(X[:, T]) @ np.abs(beta[T])
+def _duals(X, y, b, ee, lam_b, lam_e, r=None, hold_e=False):
+    """(z_b, z_e, kkt): the scaled duals of (b, ee) and its KKT residual.
+    With hold_e the e block is held at zero, so its duals read zero."""
+    (z_b, z_e), on, off_b, off_e = _scaled_duals(X, y, b, ee, lam_b, lam_e, r)
+    if hold_e:
+        z_e, off_e = np.zeros_like(z_e), 0.0
+    return z_b, z_e, max(on, off_b - 1.0, off_e - 1.0, 0.0)
 
 
-def _float64_rounding_error(X, abs_y, col_sq, beta, e, lam_b, lam_e):
+def _float64_rounding_error(X, y, beta, e, lam_b, lam_e):
     """Bound on the float64 rounding error of the scaled duals at (beta, e):
     _ROUNDING_ULPS ulps of every term summed into r, carried into X'r by
     Cauchy-Schwarz."""
     n = X.shape[0]
+    T = np.flatnonzero(beta)
     err_r = _ROUNDING_ULPS * float(np.finfo(np.float64).eps) * (
-        abs_y + _abs_X_beta(X, beta) + math.sqrt(n) * np.abs(e))
-    col = math.sqrt(float(np.max(col_sq, initial=0.0)))
+        np.abs(y) + np.abs(X[:, T]) @ np.abs(beta[T])
+        + math.sqrt(n) * np.abs(e))
+    col = math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
     return max(col * float(np.linalg.norm(err_r)) / (n * lam_b),
                float(np.max(err_r)) / (math.sqrt(n) * lam_e))
-
-
-def _e_step(X, r, beta, e, lam_e, abs_y, y_max, col_norm):
-    """The exact e-update at the residual r of (beta, e): u = (y - X beta) /
-    sqrt(n) soft-thresholded at lam_e, with ties resolved to zero.
-
-    The residual is a difference of large quantities, so the kink is widened
-    by a guard, _KINK_GUARD_ULPS ulps of |y| + |X| |beta| + sqrt(n) |e| per
-    row (over sqrt(n)); otherwise 1-ulp noise would activate rows that sit
-    exactly at the threshold (e.g. designs collinear with the corruption
-    block).  The guard is evaluated only on the rows that clear the
-    threshold by at most twice the bound y_max + sum_j ||X_j|| |beta_j| +
-    sqrt(n) max |e| on every row's sum (y_max = max |y|, col_norm the column
-    norms of X); every other row is decided by the sign of its margin."""
-    rn = math.sqrt(X.shape[0])
-    guard_scale = _KINK_GUARD_ULPS * float(np.finfo(np.float64).eps) / rn
-    u = (r + rn * e) / rn
-    mag = np.abs(u) - lam_e
-    g_max = 2.0 * guard_scale * (y_max + float(col_norm @ np.abs(beta))
-                                 + rn * float(np.max(np.abs(e), initial=0.0)))
-    keep = mag > g_max
-    band = np.flatnonzero((mag > 0) != keep)
-    if band.size:
-        guard = guard_scale * (abs_y[band] + _abs_X_beta(X, beta)[band]
-                               + rn * np.abs(e[band]))
-        keep[band] = mag[band] > guard
-    return np.where(keep, np.copysign(mag, u), 0.0)
-
-
-def _working_set(beta, z_b):
-    """Coordinates a beta sweep visits: the support of beta and every zero
-    coordinate whose scaled dual z_b reaches 1 in magnitude.  Any other zero
-    coordinate would be left at zero by its own update."""
-    return np.flatnonzero((beta != 0) | (np.abs(z_b) >= 1.0)).tolist()
 
 
 def _sign_key(beta, e):
     """The signs of (beta, e) as one hashable pattern."""
     return np.sign(np.concatenate((beta, e))).astype(np.int8).tobytes()
-
-
-def _bcd(instance, lam_b, lam_e, beta, e, tol, max_sweeps, col_sq, abs_y,
-         exact):
-    """One lambda level: an active-set step from (beta, e), then, only if it
-    fails, an alternating beta-sweep / e-step loop in float64.
-
-    Each beta sweep runs cyclic coordinate descent over the working set
-    only (_working_set), formed from one X'r when the loop starts and
-    refreshed from the duals of the KKT check; beta stays zero off it.
-    col_sq (squared column norms of X) and abs_y (|y|) are fixed per solve.
-
-    The loop stops when the KKT residual over all p coordinates, checked every
-    _KKT_REFRESH sweeps and on the last, is at most tol, when progress
-    stalls (_STALL_LIMIT sweeps in a row that neither lower the residual
-    nor the objective by a relative _TOL_OBJ), or after max_sweeps.  It
-    also stops at an active-set step: when a sweep ends with the same signs
-    of (beta, e) as the sweep before (an O(n + p) comparison), or with exact
-    at a check at or below tol, _active_set_step starts from those signed
-    supports, under the path-level rule or, with exact, the certification
-    rule, and the loop ends at its point if it is accepted.  The starts
-    whose step failed in this call are not tried again.
-    Returns (beta, e, kkt, sweeps): kkt is the accepted step's KKT residual,
-    or None when no step was accepted; sweeps counts beta sweeps, not
-    restricted solves, and is 0 when the entry step is accepted.
-    """
-    failed = set()
-    step = _active_set_step(instance, beta, e, lam_b, lam_e, tol, col_sq,
-                            abs_y, exact, failed)
-    if step is not None:
-        return (*step, 0)
-    X, y = instance.X, instance.y
-    n = X.shape[0]
-    rn = math.sqrt(n)
-    nlam_b = n * lam_b
-    r = y - X @ beta - rn * e
-    col_norm = np.sqrt(col_sq)
-    y_max = float(np.max(abs_y, initial=0.0))
-    cs, bl = col_sq.tolist(), beta.tolist()  # Python floats for the sweeps
-    delta = np.empty(n)  # the residual change of one coordinate update
-
-    def working(W):
-        # (index, column view, squared norm) of each nonzero column of W
-        return [(j, X[:, j], cs[j]) for j in W if cs[j] != 0.0]
-
-    work = working(_working_set(beta, X.T @ r / nlam_b))
-    prev_obj = residual_objective(r, beta, e, lam_b, lam_e)
-    best_kkt = math.inf
-    stall = 0
-    signs = None
-    for sweeps in range(1, max_sweeps + 1):
-        # beta first: on designs collinear with the corruption block the
-        # shared mass then settles on the regression side, matching the
-        # tie-to-zero convention for e.
-        for j, xj, cj in work:
-            bj = bl[j]
-            rho = float(xj.dot(r)) + cj * bj
-            mag = abs(rho) - nlam_b
-            bj_new = math.copysign(mag, rho) / cj if mag > 0 else 0.0
-            if bj_new != bj:
-                r += np.multiply(xj, bj - bj_new, out=delta)
-                beta[j] = bl[j] = bj_new
-
-        # exact e-update: minimizer over e alone is soft((y - X beta)/rn, lam_e)
-        e_new = _e_step(X, r, beta, e, lam_e, abs_y, y_max, col_norm)
-        r += rn * (e - e_new)
-        e = e_new
-
-        if sweeps % _RESIDUAL_REFRESH == 0:
-            r = y - X @ beta - rn * e
-
-        obj = residual_objective(r, beta, e, lam_b, lam_e)
-        if not math.isfinite(obj):
-            raise NumericError("non-finite objective during solve")
-        if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
-            raise NumericError(
-                f"objective increased by {obj - prev_obj:.3e} in sweep {sweeps}"
-            )
-
-        prev, signs = signs, _sign_key(beta, e)
-        check = sweeps % _KKT_REFRESH == 0 or sweeps == max_sweeps
-        if check:
-            (z_b, _), on, off_b, off_e = _scaled_duals(X, y, beta, e, lam_b,
-                                                       lam_e, r=r)
-            kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
-        done = check and kkt <= tol
-        if signs == prev or exact and done:
-            step = _active_set_step(instance, beta, e, lam_b, lam_e, tol,
-                                    col_sq, abs_y, exact, failed)
-            if step is not None:
-                return (*step, sweeps)
-        if done:
-            break
-        improved = False
-        if check:
-            work = working(_working_set(beta, z_b))
-            if kkt < _STALL_KKT_IMPROVEMENT * best_kkt:
-                best_kkt = kkt
-                stall = 0
-                improved = True
-        if not improved and prev_obj - obj <= _TOL_OBJ * max(1.0, abs(obj)):
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                break
-        prev_obj = obj
-    return beta, e, None, sweeps
 
 
 def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
@@ -312,85 +158,6 @@ def _lambda_levels(lmax_b, lmax_e, lam_b, lam_e):
             for t in range(1, steps + 1)]
 
 
-def _active_set_step(instance, beta, e, lam_b, lam_e, tol, col_sq, abs_y,
-                     exact, failed):
-    """Primal-dual active-set steps on signed supports at (lam_b, lam_e),
-    from the signs of (beta, e).  Returns the accepted point and its full
-    KKT residual as (b, e, kkt), or None.
-
-    Each iteration solves the restricted system on the current signed
-    supports in float64, drops every on-support coordinate whose sign
-    flips, and adds every off-support coordinate (of beta or of e) whose
-    scaled dual exceeds 1 + tol, with the dual's sign.  When nothing
-    changes, the point is judged.  On a path level (not exact) it is
-    accepted if its KKT residual is at most tol and its objective at most
-    the start's.  At the target (exact) it must certify, and kkt_check
-    re-evaluates a float64 point in extended precision, so the residual is
-    judged with its float64 rounding bound err: accepted if kkt + err <= tol,
-    refused if kkt - err > tol.  Only a miss that rounding can explain is
-    solved once more, in extended precision, and judged on signs and
-    kkt <= tol; a certified point needs no objective test.
-
-    The step fails on a singular system, on a signed support that repeats
-    within it, after _STEP_SOLVES solves, or when the point is refused.  The
-    signs of a failed start are added to failed, and a start found there
-    fails at once: the restricted points depend only on the signed supports
-    and the lambdas.
-    """
-    start = _sign_key(beta, e)
-    if start in failed:
-        return None
-    X, y = instance.X, instance.y
-    sb, se = np.sign(beta), np.sign(e)
-    b, ee = beta, e
-    seen = set()
-    for _ in range(_STEP_SOLVES):
-        key = _sign_key(sb, se)
-        if key in seen:
-            break
-        seen.add(key)
-        T, S = np.flatnonzero(sb), np.flatnonzero(se)
-        try:
-            _, _, b, ee, r = _restricted_point(X, y, T, S, sb[T], se[S], b[T],
-                                               ee[S], lam_b, lam_e, np.float64)
-        except SingularMatrixError:
-            break
-        (z_b, z_e), on, off_b, off_e = _scaled_duals(X, y, b, ee, lam_b,
-                                                     lam_e, r)
-        new_sb, new_se = (_next_signs(s, v, z, tol)
-                          for s, v, z in ((sb, b, z_b), (se, ee, z_e)))
-        if not (np.array_equal(new_sb, sb) and np.array_equal(new_se, se)):
-            sb, se = new_sb, new_se
-            continue
-        kkt = max(on, off_b - 1.0, off_e - 1.0, 0.0)
-        if not exact:
-            start_obj = residual_objective(
-                _residual(X, y, beta, e, np.flatnonzero(beta)), beta, e,
-                lam_b, lam_e)
-            if kkt <= tol and \
-                    residual_objective(r, b, ee, lam_b, lam_e) <= start_obj:
-                return b, ee, kkt
-            break
-        err = _float64_rounding_error(X, abs_y, col_sq, b, ee, lam_b, lam_e)
-        if kkt + err <= tol:
-            return b, ee, kkt
-        if kkt - err > tol:
-            break
-        try:
-            *_, b, ee, r = _restricted_point(X, y, T, S, sb[T], se[S], b[T],
-                                             ee[S], lam_b, lam_e,
-                                             np.longdouble)
-        except SingularMatrixError:
-            break
-        if _sign_key(b, ee) == key:
-            kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
-            if kkt <= tol:
-                return b, ee, kkt
-        break
-    failed.add(start)
-    return None
-
-
 def _next_signs(signs, x, z, tol):
     """The signs of the next active-set iteration: an on-support coordinate
     of the restricted point x whose sign differs from signs leaves, and an
@@ -402,37 +169,266 @@ def _next_signs(signs, x, z, tol):
     return out
 
 
+def _signed_point(X, y, sb, se, b, ee, lam_b, lam_e, seen):
+    """The float64 restricted point (beta, e, r) on the signs (sb, se),
+    anchored at (b, ee), or None if refused; seen's points are reused."""
+    key = _sign_key(sb, se)
+    if key in seen:
+        return seen[key]
+    T, S = np.flatnonzero(sb), np.flatnonzero(se)
+    try:
+        return _restricted_point(X, y, T, S, sb[T], se[S], b[T], ee[S],
+                                 lam_b, lam_e, np.float64)[2:]
+    except SingularMatrixError:
+        return None
+
+
+def _active_set_step(instance, beta, e, lam_b, lam_e, tol, exact, seen,
+                     hold_e):
+    """The batch step at (lam_b, lam_e) from the signs of (beta, e):
+    returns the accepted point and its KKT residual as (b, e, kkt), or None.
+
+    Each iteration solves the restricted system on the current signs in
+    float64, drops every on-support coordinate whose sign flips, and adds
+    every off-support coordinate (of beta or of e) whose scaled dual
+    exceeds 1 + tol, with the dual's sign.  When nothing changes, _judge
+    decides.  The step fails on a singular system, on a signed support
+    that repeats, after _STEP_SOLVES solves, or when the point is refused.
+    The points solved for are left in seen, keyed by their signs."""
+    X, y = instance.X, instance.y
+    sb, se = np.sign(beta), np.sign(e)
+    b, ee = beta, e
+    for _ in range(_STEP_SOLVES):
+        key = _sign_key(sb, se)
+        if key in seen:
+            break
+        seen[key] = point = _signed_point(X, y, sb, se, b, ee, lam_b, lam_e,
+                                          seen)
+        if point is None:
+            break
+        b, ee, r = point
+        z_b, z_e, kkt = _duals(X, y, b, ee, lam_b, lam_e, r, hold_e)
+        new_sb, new_se = (_next_signs(s, v, z, tol)
+                          for s, v, z in ((sb, b, z_b), (se, ee, z_e)))
+        if not (np.array_equal(new_sb, sb) and np.array_equal(new_se, se)):
+            sb, se = new_sb, new_se
+            continue
+        return _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact)
+    return None
+
+
+def _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
+    """Accept or refuse the float64 point (b, ee), with residual r and KKT
+    residual kkt, of a level that started at (beta, e).  Returns
+    (b, ee, kkt) when it is accepted, else None.
+
+    On a path level (not exact) it is accepted if kkt <= tol and its
+    objective is at most the start's.  At the target (exact) it must
+    certify, and kkt_check re-evaluates a float64 point in extended
+    precision, so the residual is judged with its float64 rounding bound
+    err: accepted if kkt + err <= tol, refused if kkt - err > tol.  Only a
+    miss that rounding can explain is solved once more, in extended
+    precision on the signs of (b, ee), and judged on signs and kkt <= tol;
+    a certified point needs no objective test."""
+    if not exact:
+        start_obj = residual_objective(
+            _residual(X, y, beta, e, np.flatnonzero(beta)), beta, e,
+            lam_b, lam_e)
+        if kkt <= tol and \
+                residual_objective(r, b, ee, lam_b, lam_e) <= start_obj:
+            return b, ee, kkt
+        return None
+    err = _float64_rounding_error(X, y, b, ee, lam_b, lam_e)
+    if kkt + err <= tol:
+        return b, ee, kkt
+    if kkt - err > tol:
+        return None
+    T, S = np.flatnonzero(b), np.flatnonzero(ee)
+    key = _sign_key(b, ee)
+    try:
+        *_, b, ee, r = _restricted_point(X, y, T, S, np.sign(b[T]),
+                                         np.sign(ee[S]), b[T], ee[S], lam_b,
+                                         lam_e, np.longdouble)
+    except SingularMatrixError:
+        return None
+    if _sign_key(b, ee) == key:
+        kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
+        if kkt <= tol:
+            return b, ee, kkt
+    return None
+
+
+def _level(instance, lam_b, lam_e, beta, e, tol, budget, exact,
+           hold_e=False):
+    """One lambda level from (beta, e): the batch step, then, only if it
+    fails, at most budget feature-sign steps from (beta, e) over
+    x = (beta, e).  With hold_e, e stays zero.  Returns (beta, e, kkt,
+    steps, stop): kkt is the accepted point's KKT residual, or None with
+    stop the reason (STOP_REASONS); steps counts feature-sign steps.
+
+    A full step that keeps its signs settles x: its on-support conditions
+    are taken as met (at tiny penalties float64 cannot read them to tol),
+    and the off-support coordinate with the largest scaled dual beyond
+    1 + tol enters with the dual's sign; ties (within _TIE_RTOL) go to the
+    smallest index, Bland's rule.  With none left, or after an entering
+    step that is not taken, _judge decides; its refusal stops the level
+    for 'precision', or for 'singular' in the second case."""
+    seen = {}
+    step = _active_set_step(instance, beta, e, lam_b, lam_e, tol, exact,
+                            seen, hold_e)
+    if step is not None:
+        return (*step, 0, None)
+    X, y = instance.X, instance.y
+    n, p = X.shape
+    gamma = np.concatenate((np.full(p, n * lam_b), np.full(n, n * lam_e)))
+    x = np.concatenate((beta, e))
+    r = _residual(X, y, beta, e, np.flatnonzero(beta))
+    steps, settled, stuck = 0, False, False
+    while True:
+        theta = np.sign(x)
+        if settled:
+            b, ee = x[:p], x[p:]
+            z_b, z_e, kkt = _duals(X, y, b, ee, lam_b, lam_e, r, hold_e)
+            z = np.concatenate((z_b, z_e))
+            viol = np.where(theta == 0, np.abs(z), 0.0)
+            # Bland's rule: the smallest index among the largest
+            i = int(np.flatnonzero(viol >= viol.max() * (1.0 - _TIE_RTOL))[0])
+            if stuck or viol[i] <= 1.0 + tol:
+                point = _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e,
+                               tol, exact)
+                if point is not None:
+                    return (*point, steps, None)
+                return b, ee, None, steps, \
+                    "singular" if stuck else "precision"
+            theta[i] = np.sign(z[i])
+        if steps == budget:
+            return x[:p], x[p:], None, steps, "budget"
+        steps += 1
+        moved = _feature_sign_step(X, y, x, r, theta, gamma, lam_b, lam_e,
+                                   seen)
+        if moved is None:
+            stuck, settled = settled, True
+        else:
+            x, r, settled = moved
+
+
+def _feature_sign_step(X, y, x, r, theta, gamma, lam_b, lam_e, seen):
+    """One feature-sign step from x = (beta, e), with residual r, on the
+    signs theta, for the objective times n with weights gamma: along
+    d = point - x to the restricted point on theta (_signed_point), or
+    where its system is refused along _null_direction, by _line_search.
+    It is taken if it does not raise the objective, or if its slope is
+    zero.  Returns (x, r, settled) at the new point, settled when the step
+    was full and kept the signs theta, or None when it is not taken."""
+    n, p = X.shape
+    point = _signed_point(X, y, theta[:p], theta[p:], x[:p], x[p:], lam_b,
+                          lam_e, seen)
+    if point is None:
+        d, zero_slope = _null_direction(X, x, theta, gamma)
+    else:
+        d, zero_slope = np.concatenate(point[:2]) - x, False
+    if d is None:
+        return None
+    T = np.flatnonzero(d[:p])
+    Ad = X[:, T] @ d[T] + math.sqrt(n) * d[p:]
+    t, delta, crossing = _line_search(x, d, Ad, r, gamma, point is not None)
+    if t is None or delta > 0.0 and not zero_slope:
+        return None
+    if not crossing.size:
+        x = np.concatenate(point[:2])
+        return x, point[2], np.array_equal(np.sign(x), theta)
+    x = x + t * d
+    x[crossing] = 0.0
+    return x, _residual(X, y, x[:p], x[p:], np.flatnonzero(x[:p])), False
+
+
+def _null_direction(X, x, theta, gamma):
+    """(d, zero_slope): a direction over x = (beta, e) in the null space of
+    the refused system on the signs theta, or (None, False).  d_T lies in
+    null(X_{Sc,T}) (singular values below the largest over
+    sqrt(_MAX_COND)) and d_S = -X_{S,T} d_T / sqrt(n), so the residual does
+    not change and the objective moves with slope c'd_T, c = gamma_T
+    theta_T - X_{S,T}' (gamma_S theta_S) / sqrt(n).  d_T is minus the
+    projection of c, or where that slope reads zero (_TIE_RTOL), Bland's
+    rule: the projection of e_j for the smallest nonzero j in T that the
+    null space moves, oriented to move x_j towards zero."""
+    n, p = X.shape
+    T, S = np.flatnonzero(theta[:p]), np.flatnonzero(theta[p:])
+    on_S = np.zeros(n, dtype=bool)
+    on_S[S] = True
+    X_ST = X[np.ix_(S, T)]
+    _, sv, Vh = np.linalg.svd(X[np.ix_(~on_S, T)])
+    N = Vh[np.count_nonzero(sv > sv[:1] / math.sqrt(_MAX_COND)):].T
+    if not N.size:
+        return None, False
+    c = gamma[T] * theta[T] - gamma[p + S] * theta[p + S] @ X_ST / math.sqrt(n)
+    d_T = -(N @ (N.T @ c))
+    zero_slope = np.linalg.norm(d_T) <= _TIE_RTOL * np.linalg.norm(c)
+    if zero_slope:
+        moved = np.flatnonzero((np.linalg.norm(N, axis=1) > _TIE_RTOL)
+                               & (x[T] != 0))
+        if not moved.size:
+            return None, False
+        j = moved[0]
+        d_T = -np.sign(x[T[j]]) * (N @ N[j])
+    d = np.zeros_like(x)
+    d[T] = d_T
+    d[p + S] = -(X_ST @ d_T) / math.sqrt(n)
+    return d, zero_slope
+
+
+def _line_search(x, d, Ad, r, gamma, full):
+    """The step along d from x: (t, delta, crossing), where delta is the
+    change of the objective times n,
+
+        delta(t) = -t r'Ad + t^2 ||Ad||^2 / 2
+                   + sum_i gamma_i (|x_i + t d_i| - |x_i|),
+
+    computed directly, not as a difference of two objectives, and crossing
+    holds the coordinates that t sets to zero.  The least delta among x's
+    zero crossings (with full, those in (0, 1) and t = 1) is taken; ties go
+    to the smallest crossing index (Bland's rule).  t is None without a
+    candidate."""
+    K = np.flatnonzero(d)
+    xk, dk = x[K], d[K]
+    cross = xk * dk < 0.0
+    tc, idx = -xk[cross] / dk[cross], K[cross]
+    if full:
+        tc, idx = tc[tc < 1.0], idx[tc < 1.0]
+    ts = np.append(tc, 1.0) if full else tc
+    if not ts.size:
+        return None, None, None
+    delta = -ts * float(r @ Ad) + 0.5 * ts * ts * float(Ad @ Ad) \
+        + (gamma[K] * (np.abs(xk + np.outer(ts, dk)) - np.abs(xk))).sum(axis=1)
+    pick = np.lexsort((np.append(idx, x.size) if full else idx, delta))[0]
+    return float(ts[pick]), float(delta[pick]), idx[tc == ts[pick]]
+
+
 def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
                          config: SolverConfig | None = None) -> Solution:
     """Solve the joint program from zero down the lambda path; returns a
-    Solution (converged flag, no raise on non-convergence).  InputError
-    unless lam_b and lam_e are finite and > 0.
+    Solution (converged flag and stop reason, no raise on
+    non-convergence).  InputError unless lam_b and lam_e are finite and > 0.
 
     The path's levels (_lambda_levels) are walked with a doubling stride:
-    each level or skip settled by its first active-set step doubles it, the
-    next visit is then a skip (one path-level active-set step, stride levels
-    on, short of the target), and a refused skip resets the stride to 1 and
-    runs the next level.  The target is always a _bcd call."""
+    each level settled by its batch step, and each accepted skip, doubles
+    it, and a refused skip resets it to 1 (see the module docstring)."""
     cfg = config or SolverConfig()
     check_finite_positive("lam_b", lam_b)
     check_finite_positive("lam_e", lam_e)
 
-    X = instance.X
-    y = instance.y
+    X, y = instance.X, instance.y
     n, p = X.shape
-    col_sq = np.einsum("ij,ij->j", X, X)
-    abs_y = np.abs(y)
-    beta = np.zeros(p)
-    e = np.zeros(n)
+    beta, e = np.zeros(p), np.zeros(n)
 
     lmax_b = float(np.max(np.abs(X.T @ y))) / n
-    lmax_e = float(np.max(abs_y)) / math.sqrt(n)
+    lmax_e = float(np.max(np.abs(y))) / math.sqrt(n)
     levels = _lambda_levels(lmax_b, lmax_e, lam_b, lam_e)
 
     # i is the last visited level (-1 at the zero start).  A skip to level
-    # i + 1 would repeat that level's entry step, so the level runs instead.
+    # i + 1 would repeat that level's batch step, so the level runs instead.
     # The path levels run to path_tol, and the target, the last level, runs
-    # to tol_kkt and converges only at a certified step.
+    # to tol_kkt and converges only at a certified point.
     path_tol = max(cfg.tol_kkt, _PATH_TOL)
     last = len(levels) - 1
     i, stride, total = -1, 1, 0
@@ -441,7 +437,7 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
         j = min(i + stride, last - 1)
         if j > i + 1:
             step = _active_set_step(instance, beta, e, *levels[j], path_tol,
-                                    col_sq, abs_y, False, set())
+                                    False, {}, False)
             if step is not None:
                 beta, e, _ = step
                 i, stride = j, 2 * stride
@@ -449,13 +445,12 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
             stride = 1
         i += 1
         exact = i == last
-        tol = cfg.tol_kkt if exact else path_tol
-        budget = cfg.max_iters - total
-        max_sweeps = budget if exact else min(budget, _LEVEL_SWEEPS)
-        if max_sweeps < 1:
+        if total == cfg.max_iters:
+            stop = "budget"
             break
-        beta, e, kkt, it = _bcd(instance, *levels[i], beta, e, tol,
-                                max_sweeps, col_sq, abs_y, exact)
+        beta, e, kkt, it, stop = _level(
+            instance, *levels[i], beta, e, cfg.tol_kkt if exact else path_tol,
+            cfg.max_iters - total, exact)
         total += it
         converged = exact and kkt is not None
         stride = 2 * stride if it == 0 else 1
@@ -464,30 +459,22 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
     obj = objective_value(instance, beta, e, lam_b, lam_e)
     return Solution(beta_hat=beta, e_hat=e, lambda_beta=lam_b, lambda_e=lam_e,
                     objective=obj, iterations=total, converged=converged,
-                    kkt_residual=float(kkt))
+                    kkt_residual=float(kkt),
+                    stop=None if converged else stop)
 
 
 def solve_standard_lasso(X, y, lam: float) -> np.ndarray:
     """The standard Lasso (1/2n)||y - X beta||^2 + lam ||beta||_1 from zero,
-    to the default SolverConfig's tolerance and sweep cap, as one level of
-    the joint solver: an active-set step from zero, then cyclic coordinate
-    descent only if it fails.  InputError unless lam is finite and > 0.
-
-    The level runs with lambda_e so large that e stays zero: no accepted
-    point's objective exceeds the start's, which bounds ||beta||_1 and so
-    every residual entry below sqrt(n) lambda_e / 2.
-    """
+    to the default SolverConfig's tolerance and step cap: one level of the
+    joint solver's kernel, with e held at zero (S empty) and the path-level
+    rule.  InputError unless lam is finite and > 0."""
     cfg = SolverConfig()
     check_finite_positive("lam", lam)
     X = np.asfortranarray(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
-    l1_bound = (y @ y / (2 * n)) / lam
-    abs_y = np.abs(y)
-    lam_e = 2 * (1 + np.max(abs_y) + np.max(np.abs(X)) * l1_bound) / math.sqrt(n)
-    return _bcd(ProblemInstance(X=X, y=y), lam, float(lam_e), np.zeros(p),
-                np.zeros(n), cfg.tol_kkt, cfg.max_iters,
-                np.einsum("ij,ij->j", X, X), abs_y, False)[0]
+    return _level(ProblemInstance(X=X, y=y), lam, lam, np.zeros(p),
+                  np.zeros(n), cfg.tol_kkt, cfg.max_iters, False, True)[0]
 
 
 def _solve_linear(G, rhs):

@@ -11,11 +11,10 @@ does not need at run time.
   over-estimate it.
 - soft_threshold is the proximal map of the l1 norm, used by the tests'
   FISTA oracle.
-- e_step_full_guard and scaled_duals_all_columns are the solver's e-update
-  and scaled duals as they were before their work was cut to what the
-  supports need: the kink guard evaluated on every row, and the residual
+- scaled_duals_all_columns is the solver's scaled duals as they were
+  before their work was cut to what the supports need: the residual
   y - X beta - sqrt(n) e summed over every column of X.  The solver must
-  reproduce both bit for bit.
+  reproduce it bit for bit.
 - design_one_shot and objective_full_x are gen_design and objective_value
   as they were before they stopped holding a second n x p array: the whole
   design drawn in one call in C order and copied to Fortran order, and the
@@ -39,20 +38,6 @@ def soft_threshold(x, t):
     """Soft-thresholding; values exactly at the kink resolve to 0."""
     mag = np.abs(x) - t
     return np.where(mag > 0, np.sign(x) * mag, 0.0 * x)
-
-
-def e_step_full_guard(X, r, beta, e, lam_e, abs_y):
-    """soft((r + sqrt(n) e) / sqrt(n), lam_e) with every row's margin
-    compared with its kink guard, 16 ulps of |y| + |X| |beta| + sqrt(n) |e|
-    over sqrt(n)."""
-    rn = math.sqrt(X.shape[0])
-    guard_scale = 16.0 * float(np.finfo(np.float64).eps) / rn
-    u = (r + rn * e) / rn
-    T = np.flatnonzero(beta)
-    guard = guard_scale * (abs_y + np.abs(X[:, T]) @ np.abs(beta[T])
-                           + rn * np.abs(e))
-    mag = np.abs(u) - lam_e
-    return np.where(mag > guard, np.sign(u) * mag, 0.0)
 
 
 def scaled_duals_all_columns(X, y, beta, e, lam_b, lam_e, rows=1024):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import extlasso as xl
-from extlasso.cli import main
+from extlasso.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -74,6 +74,14 @@ class TestGenerateSolveVerify:
         assert code == 0
         sol = xl.Solution.from_json(out)
         assert sol.beta_hat.shape == (16,)
+
+
+def test_solver_defaults_come_from_solver_config():
+    cfg = xl.SolverConfig()
+    solve = build_parser().parse_args(["solve", "inst.json"])
+    verify = build_parser().parse_args(["verify", "inst.json", "sol.json"])
+    assert (solve.max_iters, solve.tol_kkt) == (cfg.max_iters, cfg.tol_kkt)
+    assert verify.tol_kkt == cfg.tol_kkt
 
 
 class TestParams:

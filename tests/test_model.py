@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import extlasso as xl
-from extlasso.model import instance_from_dict
+from extlasso.model import instance_from_dict, solution_from_dict
 from oracles import objective_full_x
 
 
@@ -176,6 +177,23 @@ class TestSerialization:
                                       np.asarray(sol.beta_hat, dtype=float))
         assert back.converged == sol.converged
         assert back.objective == sol.objective
+
+    def test_stop_reason_round_trip(self):
+        """An unconverged solve's stop reason survives the JSON round trip;
+        a solution-v1 file written without the field loads with stop None,
+        and an unknown reason is an input error."""
+        inst = xl.gen_instance(48, 4, k=1, s=17, sigma=0.1, seed=18)
+        sol = xl.solve_extended_lasso(inst, 1.4792762945919326e-06,
+                                      1.5194922451038214e-07,
+                                      xl.SolverConfig(max_iters=1))
+        assert not sol.converged and sol.stop == "budget"
+        assert xl.Solution.from_json(sol.to_json()).stop == "budget"
+        d = json.loads(sol.to_json())
+        del d["stop"]
+        assert solution_from_dict(d).stop is None
+        d["stop"] = "stalled"
+        with pytest.raises(xl.InputError, match="stop"):
+            solution_from_dict(d)
 
     def test_schema_guard(self):
         with pytest.raises(xl.InputError):

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import extlasso as xl
 from extlasso import solver
 from extlasso.model import GroundTruth, ProblemInstance
-from oracles import (e_step_full_guard, scaled_duals_all_columns,
-                     soft_threshold)
+from oracles import scaled_duals_all_columns, soft_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +20,7 @@ def subgradient_descent(X, y, lam_b, lam_e, iters=60_000, step0=0.05):
 
     Returns the best objective seen.  The 1/sqrt(t) rate cannot certify
     tight tolerances, but the plateau bounds the optimum from above along a
-    search path independent of coordinate descent.
+    search path independent of the active-set kernel.
     """
     n, p = X.shape
     rn = math.sqrt(n)
@@ -46,7 +45,7 @@ def lasso_by_enumeration(X, y, lam):
     For every support A and sign pattern s on A, solve the stationarity
     system X_A'X_A b = X_A'y - n lam s, then keep candidates whose signs
     match and whose off-support duals are feasible.  Exact up to float
-    rounding, entirely independent of coordinate descent.
+    rounding, entirely independent of the active-set kernel.
     """
     n, p = X.shape
     best_obj, best_beta = None, None
@@ -97,18 +96,20 @@ def restricted_by_normal_equations(X, y, beta_star, e_star, w, T, S,
     return hT, gS
 
 
-def fista(X, y, lam_b, lam_e, tol, iters=50_000):
+def fista(X, y, lam_b, lam_e, tol, iters=50_000, start=None):
     """FISTA on the augmented design Z = [X, sqrt(n) I] with the fixed step
-    1/L, L = ||Z||^2 / n, from zero and without a lambda path.
+    1/L, L = ||Z||^2 / n, from start (beta, e), zero by default, and without
+    a lambda path.
 
-    A search path independent of coordinate descent; at small lambdas it
+    A search path independent of the active-set kernel; at small lambdas it
     cannot reach 1e-9 stationarity, so it runs to tol.  Returns the objective
     at the last iterate and whether the KKT residual reached tol.
     """
     n, p = X.shape
     rn = math.sqrt(n)
     step = n / (np.linalg.norm(X, 2) ** 2 + n)  # ||Z||^2 = smax(X)^2 + n
-    beta, e = np.zeros(p), np.zeros(n)
+    beta, e = (np.zeros(p), np.zeros(n)) if start is None else \
+        (np.array(start[0], dtype=float), np.array(start[1], dtype=float))
     vb, ve = beta.copy(), e.copy()
     t = 1.0
     converged = False
@@ -193,7 +194,7 @@ class TestStandardLasso:
         beta = xl.solve_standard_lasso(X, y, lam)
         obj = np.sum((y - X @ beta) ** 2) / 40 + lam * np.abs(beta).sum()
         best = subgradient_descent(X, y, lam, 1.0, iters=20_000)
-        # CD must not be beaten by an independent descent path
+        # the kernel must not be beaten by an independent descent path
         assert obj <= best + 1e-8 * max(1.0, abs(best))
 
 
@@ -238,7 +239,7 @@ class TestExtendedLasso:
             assert sol.objective == pytest.approx(obj_r, rel=1e-8)
 
     def test_monotone_objective_no_numeric_error(self):
-        # the solver raises NumericError if any sweep increases the objective
+        # moderate penalties: every solve converges, and none raises
         for seed in range(4):
             inst = xl.gen_instance(50, 12, k=3, s=10, sigma=0.2, seed=seed)
             pair = xl.lambdas_simulation(0.2, 50, 12)
@@ -343,10 +344,10 @@ class TestExactFinish:
         assert sol.beta_hat.dtype == np.float64
 
     def test_singular_finish_falls_back_to_not_converged(self, monkeypatch):
-        """A singular restricted system at the target, at the entry step
-        of its level and at every step of its coordinate descent, is never
-        retried in extended precision, and the solve ends converged=False
-        with the joint KKT residual of its last point."""
+        """A singular restricted system at the target, in its level's batch
+        step and at every feature-sign step, is never retried in extended
+        precision, and the solve ends converged=False, stopped as
+        'singular', with the joint KKT residual of its last point."""
         dtypes = []  # the dtypes of the restricted solves at the target
         inst = xl.gen_instance(60, 15, k=4, s=12, sigma=0.15, seed=31)
         lam_b, lam_e = xl.lambdas_simulation(0.15, 60, 15)
@@ -359,63 +360,78 @@ class TestExactFinish:
         monkeypatch.setattr(solver, "_restricted_point", singular)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
         assert dtypes and set(dtypes) == {np.float64}
-        assert not sol.converged
+        assert not sol.converged and sol.stop == "singular"
         assert sol.kkt_residual == solver._joint_kkt_residual(
             inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
 
     def test_no_restricted_solve_repeats_within_a_call(self, monkeypatch):
-        """Within one solve, no active-set step starts twice from the same
-        signed supports at the same lambdas: each lambda pair is one level
-        call, whose entry step and coordinate-descent steps share the
-        failed starts.  On this instance of the recipe of 150 small random
-        instances (seed 134), steps are called again from failed starts."""
-        calls, started = [], []  # (signs, lambdas) of every call / start
-        real_step, real_point = solver._active_set_step, \
-            solver._restricted_point
+        """Within one level call, no signed support repeats: the
+        feature-sign steps take pairwise distinct signs, and no float64
+        restricted solve repeats one of the batch step's, whose points the
+        steps reuse.  These instances of the recipe of 150 small random
+        instances (seeds 134 and 18) make feature-sign steps."""
+        levels = []  # per level call: [float64 solves, feature-sign steps]
+        inside = []  # one entry per level call in progress
+        real_level, real_step, real_point = solver._level, \
+            solver._feature_sign_step, solver._restricted_point
 
-        def step(instance, beta, e, lb, le, *args):
-            calls.append((solver._sign_key(beta, e), lb, le))
-            return real_step(instance, beta, e, lb, le, *args)
+        def level(*args):
+            levels.append([[], []])
+            inside.append(True)
+            try:
+                return real_level(*args)
+            finally:
+                inside.pop()
 
-        def point(*args):
-            if calls and (not started or started[-1] is not calls[-1]):
-                started.append(calls[-1])
-            return real_point(*args)
+        def step(X, y, x, r, theta, *args):
+            levels[-1][1].append(theta.tobytes())
+            return real_step(X, y, x, r, theta, *args)
 
-        monkeypatch.setattr(solver, "_active_set_step", step)
+        def point(X, y, T, S, sb, se, *args):
+            if inside and args[-1] is np.float64:  # not a skip's solves
+                levels[-1][0].append((T.tobytes(), S.tobytes(), sb.tobytes(),
+                                      se.tobytes()))
+            return real_point(X, y, T, S, sb, se, *args)
+
+        monkeypatch.setattr(solver, "_level", level)
+        monkeypatch.setattr(solver, "_feature_sign_step", step)
         monkeypatch.setattr(solver, "_restricted_point", point)
-        inst = xl.gen_instance(38, 9, k=8, s=15, sigma=0.1, seed=134)
-        sol = xl.solve_extended_lasso(inst, 2.2732713854931268e-07,
-                                      1.865603508607568e-06)
-        assert started
-        assert len(set(calls)) < len(calls)
-        assert len(set(started)) == len(started)
-        assert sol.converged
-        assert xl.kkt_check(inst, sol).certified
+        for inst, target in (
+                (xl.gen_instance(38, 9, k=8, s=15, sigma=0.1, seed=134),
+                 (2.2732713854931268e-07, 1.865603508607568e-06)),
+                (xl.gen_instance(48, 4, k=1, s=17, sigma=0.1, seed=18),
+                 (1.4792762945919326e-06, 1.5194922451038214e-07))):
+            levels.clear()
+            sol = xl.solve_extended_lasso(inst, *target)
+            assert sum(len(steps) for _, steps in levels) > 0
+            for solves, steps in levels:
+                assert len(set(steps)) == len(steps)
+                assert len(set(solves)) == len(solves)
+            assert sol.converged
+            assert xl.kkt_check(inst, sol).certified
 
     def test_stalled_target_is_one_level_call(self, monkeypatch):
         """The target penalties are one level call, with no retry: on this
         instance of the recipe of 150 small random instances (seed 18,
-        |S| = n at the stall) coordinate descent stalls there, and the
-        solve ends converged=False with the joint KKT residual of its last
-        point."""
+        |S| = n where coordinate descent used to stall), feature-sign
+        steps on the path lead to a target call that certifies."""
         inst = xl.gen_instance(48, 4, k=1, s=17, sigma=0.1, e_scale=1.0,
                                seed=18)
         lam_b, lam_e = 1.4792762945919326e-06, 1.5194922451038214e-07
-        target_calls = []
-        real_bcd = solver._bcd
+        target_calls = []  # the feature-sign steps of each target call
+        real_level = solver._level
 
-        def bcd(instance, lb, le, *args):
+        def level(instance, lb, le, *args):
+            out = real_level(instance, lb, le, *args)
             if (lb, le) == (lam_b, lam_e):
-                target_calls.append(args)
-            return real_bcd(instance, lb, le, *args)
+                target_calls.append(out[3])
+            return out
 
-        monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "_level", level)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-        assert len(target_calls) == 1
-        assert not sol.converged
-        assert sol.kkt_residual == solver._joint_kkt_residual(
-            inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
+        assert len(target_calls) == 1 and sol.iterations > 0
+        assert sol.converged and sol.stop is None
+        assert xl.kkt_check(inst, sol).certified
 
     def test_extended_solve_only_after_a_miss_within_rounding(self,
                                                               monkeypatch):
@@ -428,7 +444,6 @@ class TestExactFinish:
         inst = xl.gen_instance(36, 8, k=2, s=7, sigma=0.1, seed=93)
         lam_b, lam_e = 0.050485337628895274, 0.0170302926770098
         X, y = inst.X, inst.y
-        col_sq, abs_y = np.einsum("ij,ij->j", X, X), np.abs(y)
         tol = solver.SolverConfig().tol_kkt
         outcomes = []  # per restricted solve at the target
         real = solver._restricted_point
@@ -440,8 +455,7 @@ class TestExactFinish:
                     and np.array_equal(np.sign(ee[S]), se)):
                 return "flip"
             kkt = solver._joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
-            err = solver._float64_rounding_error(X, abs_y, col_sq, b, ee,
-                                                 lam_b, lam_e)
+            err = solver._float64_rounding_error(X, y, b, ee, lam_b, lam_e)
             return "beyond" if kkt - err > tol else "within"
 
         def restricted_point(X, y, T, S, sb, se, aT, aS, lb, le, dtype):
@@ -468,8 +482,8 @@ class TestWorkingSet:
            log_ratio=st.floats(-1.0, 1.0), seed=st.integers(0, 10_000))
     def test_converged_solves_certify(self, n, p, k, s_frac, sigma, design,
                                       rho, log_lam, log_ratio, seed):
-        """With beta sweeps restricted to the working set, every solve that
-        reports convergence still certifies over all p coordinates."""
+        """Over correlated and identity designs of up to 64 columns, every
+        solve that reports convergence certifies over all p coordinates."""
         spec = xl.CovarianceSpec(design, p=p,
                                  rho=rho if design == "ar1" else 0.0)
         inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n),
@@ -478,11 +492,11 @@ class TestWorkingSet:
         assert_converged_certifies(inst, lam_b, lam_b * 10.0 ** log_ratio)
 
     def test_coordinate_enters_mid_level(self, monkeypatch):
-        """Two columns with correlation 0.95: with coordinate descent as
-        every level's fallback (the first step of each level call, its entry
-        step, declines), the second column joins the working set at a
-        refresh inside a path level, and the solve still converges to the
-        closed form on its own signed supports."""
+        """Two columns with correlation 0.95: with the batch step declining
+        at every level call and every skip, feature-sign steps carry each
+        level, column 1 enters at one of them after the level's first, and
+        the solve still converges to the closed form on its own signed
+        supports."""
         rng = np.random.default_rng(2)
         n, p = 30, 6
         X = rng.standard_normal((n, p))
@@ -496,39 +510,25 @@ class TestWorkingSet:
                                         sigma=0.05)
         lam_b, lam_e = 0.02, 0.05
 
-        sets, finals = [], []  # per _bcd call: its working sets, its beta
-        entry = []  # per _bcd call: True until its first step is made
-        real_bcd, real_ws = solver._bcd, solver._working_set
-        real_step = solver._active_set_step
+        steps = []  # per level call: the entering coordinate of each step
+        real_level, real_step = solver._level, solver._feature_sign_step
 
-        def bcd(*args):
-            sets.append([])
-            entry.append(True)
-            out = real_bcd(*args)
-            finals.append(out[0].copy())
-            return out
+        def level(*args):
+            steps.append([])
+            return real_level(*args)
 
-        def working_set(beta, z_b):
-            W = real_ws(beta, z_b)
-            sets[-1].append(set(W))
-            return W
+        def step(X, y, x, r, theta, *args):
+            steps[-1].append(np.flatnonzero((theta != 0) & (x == 0)).tolist())
+            return real_step(X, y, x, r, theta, *args)
 
-        def step(*args):
-            if entry[-1]:
-                entry[-1] = False
-                return None
-            return real_step(*args)
-
-        monkeypatch.setattr(solver, "_bcd", bcd)
-        monkeypatch.setattr(solver, "_working_set", working_set)
-        monkeypatch.setattr(solver, "_active_set_step", step)
+        monkeypatch.setattr(solver, "_active_set_step", lambda *args: None)
+        monkeypatch.setattr(solver, "_level", level)
+        monkeypatch.setattr(solver, "_feature_sign_step", step)
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
 
-        assert any(len(W) < p for level in sets for W in level)
-        entered = set().union(*(set(np.flatnonzero(beta).tolist()) - level[0]
-                                for level, beta in zip(sets, finals)))
-        assert 1 in entered
-        assert sol.converged
+        assert all(level for level in steps)
+        assert any([1] in level[1:] for level in steps)
+        assert sol.converged and sol.iterations == sum(map(len, steps))
         assert xl.kkt_check(inst, sol).certified
         T, S = np.flatnonzero(sol.beta_hat), np.flatnonzero(sol.e_hat)
         assert set(T.tolist()) == {0, 1}
@@ -541,16 +541,17 @@ class TestWorkingSet:
 
 class TestLevelStep:
     def test_same_answer_in_fewer_sweeps(self, monkeypatch):
-        """At the criterion-1 penalties the path-level steps change the
-        answer by at most 1e-12 and no sign, and save sweeps."""
+        """At the criterion-1 penalties the path-level batch steps change
+        the answer by at most 1e-12 and no sign, and save feature-sign
+        steps."""
         inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
         lam_b = 5e-9
         lam_e = lam_b / math.sqrt(math.log(64))
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
         real = solver._active_set_step
-        # path-level steps off; the target's certified step stays
+        # path-level batch steps off; the target's stays
         monkeypatch.setattr(solver, "_active_set_step",
-                            lambda *args: real(*args) if args[-2] else None)
+                            lambda *args: real(*args) if args[6] else None)
         ref = xl.solve_extended_lasso(inst, lam_b, lam_e)
         assert sol.converged and ref.converged
         for got, want in ((sol.beta_hat, ref.beta_hat), (sol.e_hat, ref.e_hat)):
@@ -602,21 +603,21 @@ class TestLevelStep:
         assert xl.kkt_check(inst, sol).certified
 
     def test_level_ends_before_the_eighth_sweep(self, monkeypatch):
-        """Every level starts with an active-set step from the current
-        point, so on the benchmark's noiseless instance some path level ends
-        by an accepted step with 0 sweeps."""
+        """Every level starts with the batch step from the current point,
+        so on the benchmark's noiseless instance some path level ends by an
+        accepted batch step, with 0 feature-sign steps."""
         inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
         lam_b = 5e-9
-        entries = []  # per level that ends with 0 sweeps: (exact, accepted)
-        real_bcd = solver._bcd
+        entries = []  # per level with 0 feature-sign steps: (exact, accepted)
+        real_level = solver._level
 
-        def bcd(*args):
-            out = real_bcd(*args)
+        def level(*args):
+            out = real_level(*args)
             if out[3] == 0:
-                entries.append((args[-1], out[2] is not None))
+                entries.append((args[7], out[2] is not None))
             return out
 
-        monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "_level", level)
         sol = xl.solve_extended_lasso(inst, lam_b,
                                       lam_b / math.sqrt(math.log(64)))
         assert (False, True) in entries
@@ -635,15 +636,14 @@ class TestLevelStep:
         zero_b, zero_e = np.zeros(3), np.zeros(n)
         (z_b, _), *_ = solver._scaled_duals(inst.X, inst.y, zero_b, zero_e,
                                             lam_b, lam_e)
-        failed = set()
+        seen = {}
         b, ee, kkt = solver._active_set_step(
-            inst, zero_b, zero_e, lam_b, lam_e, 1e-6,
-            np.einsum("ij,ij->j", X, X), np.abs(inst.y), False, failed)
+            inst, zero_b, zero_e, lam_b, lam_e, 1e-6, False, seen, False)
         assert np.sign(z_b[[0, 2]]).tolist() == [-1.0, 1.0]
         assert np.sign(b).tolist() == [-1.0, 0.0, 1.0]
         np.testing.assert_allclose(b, soft_threshold(beta_star, lam_b),
                                    atol=1e-12)
-        assert not ee.any() and kkt <= 1e-6 and not failed
+        assert not ee.any() and kkt <= 1e-6 and len(seen) == 2
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(n=st.integers(8, 80), p=st.integers(2, 64), k=st.integers(1, 4),
@@ -655,7 +655,7 @@ class TestLevelStep:
             self, n, p, k, s_frac, sigma, design, rho, log_lam, log_ratio,
             seed):
         """Over TestWorkingSet's distribution, every accepted path-level
-        active-set step keeps the signs it solved for (its point is zero
+        batch step keeps the signs it solved for (its point is zero
         off them), has a float64 KKT residual within the level's tol and an
         objective no higher than its start's, and converged solves
         certify."""
@@ -676,7 +676,7 @@ class TestLevelStep:
 
         def step(instance, beta, e, lb, le, tol, *args):
             out = real_step(instance, beta, e, lb, le, tol, *args)
-            if out is not None and not args[-2]:  # accepted on a path level
+            if out is not None and not args[0]:  # accepted on a path level
                 accepted.append((beta.copy(), e.copy(), lb, le, tol,
                                  out[0].copy(), out[1].copy(), *signs))
             return out
@@ -698,45 +698,6 @@ class TestLevelStep:
 
 
 class TestSupportSizedWork:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(n=st.sampled_from([16, 64, 256]), p=st.integers(1, 8),
-           k=st.integers(0, 8), log_lam=st.floats(-9.0, 1.0),
-           log_y=st.floats(-3.0, 8.0), log_beta=st.floats(-3.0, 6.0),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_screened_e_step_equals_full_guard(self, n, p, k, log_lam, log_y,
-                                               log_beta, seed):
-        """The e-step that evaluates the kink guard only near the threshold
-        equals the guard on every row bit for bit.  Rows are placed exactly
-        at lam_e, 1 ulp either side of it, and a few rounding scales above
-        it (sqrt(n) is a power of two, so u = (r + sqrt(n) e) / sqrt(n) is
-        exact there)."""
-        rng = np.random.default_rng(seed)
-        rn = math.sqrt(n)
-        lam_e = 10.0 ** log_lam
-        X = np.asfortranarray(rng.standard_normal((n, p)))
-        beta = np.zeros(p)
-        T = rng.choice(p, size=min(k, p), replace=False)
-        beta[T] = rng.choice([-1.0, 1.0], len(T)) * 10.0 ** (
-            log_beta * rng.uniform(size=len(T)))
-        abs_y = 10.0 ** log_y * rng.uniform(size=n)
-        e = np.where(rng.uniform(size=n) < 0.5, 0.0,
-                     rng.standard_normal(n) * 10.0 ** log_y)
-        r = rng.standard_normal(n) * lam_e * rn
-        up, down = np.nextafter(lam_e, np.inf), np.nextafter(lam_e, 0.0)
-        guard = 16.0 * float(np.finfo(np.float64).eps) * 10.0 ** log_y / rn
-        targets = [lam_e, up, down, lam_e + guard, lam_e + 0.5 * guard,
-                   lam_e + 4.0 * guard]
-        for i, t in enumerate(targets + [-t for t in targets]):
-            if i % 2:  # u from the residual alone, or from e alone
-                r[i], e[i] = t * rn, 0.0
-            else:
-                r[i], e[i] = 0.0, t
-        got = solver._e_step(X, r, beta, e, lam_e, abs_y,
-                             float(np.max(abs_y)),
-                             np.sqrt(np.einsum("ij,ij->j", X, X)))
-        want = e_step_full_guard(X, r, beta, e, lam_e, abs_y)
-        assert got.tobytes() == want.tobytes()
-
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(n=st.integers(1, 2100), p=st.integers(1, 12),
            k=st.integers(0, 12), s_frac=st.floats(0.0, 1.0),
@@ -979,26 +940,26 @@ class TestRestrictedSolution:
 
 class TestStride:
     """solve_extended_lasso walks the lambda grid with a doubling stride:
-    skips are active-set steps made outside any _bcd call."""
+    skips are batch steps made outside any _level call."""
 
     TARGET = (5e-9, 5e-9 / math.sqrt(math.log(64)))
 
     @staticmethod
     def record(monkeypatch, refuse_skips=False):
-        """Log every visit, ("bcd", lambdas) per _bcd call and ("skip",
+        """Log every visit, ("level", lambdas) per _level call and ("skip",
         lambdas, accepted) per skip, the grid and the restricted solves;
         with refuse_skips every skip is refused."""
         log = {"visits": [], "levels": None, "solves": 0}
-        inside = []  # one entry per _bcd call in progress
-        real_bcd, real_step = solver._bcd, solver._active_set_step
+        inside = []  # one entry per _level call in progress
+        real_level, real_step = solver._level, solver._active_set_step
         real_point, real_levels = solver._restricted_point, \
             solver._lambda_levels
 
-        def bcd(instance, lb, le, *args):
-            log["visits"].append(("bcd", (lb, le)))
+        def level(instance, lb, le, *args):
+            log["visits"].append(("level", (lb, le)))
             inside.append(True)
             try:
-                return real_bcd(instance, lb, le, *args)
+                return real_level(instance, lb, le, *args)
             finally:
                 inside.pop()
 
@@ -1018,7 +979,7 @@ class TestStride:
             log["levels"] = real_levels(*args)
             return log["levels"]
 
-        monkeypatch.setattr(solver, "_bcd", bcd)
+        monkeypatch.setattr(solver, "_level", level)
         monkeypatch.setattr(solver, "_active_set_step", step)
         monkeypatch.setattr(solver, "_restricted_point", point)
         monkeypatch.setattr(solver, "_lambda_levels", levels)
@@ -1037,7 +998,7 @@ class TestStride:
 
     def test_refused_skips_visit_every_level(self, monkeypatch):
         """With every skip refused, each refusal runs the next level, so
-        the lambda pairs handed to _bcd are the grid in order, and the
+        the lambda pairs handed to _level are the grid in order, and the
         answer keeps the signs and the converged flag of the solve with
         skips."""
         inst = xl.gen_instance(890, 64, k=4, s=445, sigma=0.0, seed=(101, 0))
@@ -1045,7 +1006,7 @@ class TestStride:
         log = self.record(monkeypatch, refuse_skips=True)
         sol = xl.solve_extended_lasso(inst, *self.TARGET)
         assert any(v[0] == "skip" for v in log["visits"])
-        assert [v[1] for v in log["visits"] if v[0] == "bcd"] == \
+        assert [v[1] for v in log["visits"] if v[0] == "level"] == \
             log["levels"]
         assert sol.converged == ref.converged
         for got, want in ((sol.beta_hat, ref.beta_hat),
@@ -1061,12 +1022,138 @@ class TestStride:
          tuple(xl.lambdas_simulation(0.15, 60, 15)))])
     def test_no_skip_lands_on_the_target(self, monkeypatch, make, target):
         """Skips are made and accepted, none at the target pair, and the
-        solve ends with one _bcd call at the target."""
+        solve ends with one _level call at the target."""
         inst = make()
         log = self.record(monkeypatch)
         xl.solve_extended_lasso(inst, *target)
         skips = [v for v in log["visits"] if v[0] == "skip"]
         assert any(accepted for _, _, accepted in skips)
         assert all(pair != target for _, pair, _ in skips)
-        assert log["visits"][-1] == ("bcd", target)
+        assert log["visits"][-1] == ("level", target)
         assert [v[1] for v in log["visits"]].count(target) == 1
+
+
+def recipe_instance(rng_seed, i):
+    """Instance i of the recipe of 150 small random instances at
+    default_rng(rng_seed), with its penalties (instance seed i at rng 1,
+    1000 rng_seed + i otherwise)."""
+    rng = np.random.default_rng(rng_seed)
+    for j in range(i + 1):
+        n, p = int(rng.integers(8, 61)), int(rng.integers(1, 11))
+        k, s = int(rng.integers(1, p + 1)), int(rng.integers(0, n // 2 + 1))
+        sigma, scale = float(rng.choice([0, 0.1])), float(rng.choice([1, 100]))
+        lam_b = 10 ** rng.uniform(-9, -1)
+        lam_e = lam_b * 10 ** rng.uniform(-1, 1)
+    seed = i if rng_seed == 1 else 1000 * rng_seed + i
+    return (xl.gen_instance(n, p, k=k, s=s, sigma=sigma, e_scale=scale,
+                            seed=seed), lam_b, lam_e)
+
+
+# the recipe's distribution: tiny penalties, gross corruption, |T| up to n
+RECIPE = dict(n=st.integers(8, 60), p=st.integers(1, 10), k=st.integers(1, 10),
+              s_frac=st.floats(0.0, 0.5), sigma=st.sampled_from([0.0, 0.1]),
+              e_scale=st.sampled_from([1.0, 100.0]),
+              log_lam=st.floats(-9.0, -1.0), log_ratio=st.floats(-1.0, 1.0),
+              seed=st.integers(0, 10_000))
+
+
+def recipe_draw(n, p, k, s_frac, sigma, e_scale, log_lam, log_ratio, seed):
+    inst = xl.gen_instance(n, p, k=min(k, p), s=int(s_frac * n), sigma=sigma,
+                           seed=seed, e_scale=e_scale)
+    lam_b = 10.0 ** log_lam
+    return inst, lam_b, lam_b * 10.0 ** log_ratio
+
+
+class TestFeatureSign:
+    """The feature-sign phase of a level, which runs where the batch step
+    fails: small instances at tiny penalties."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(**RECIPE)
+    def test_solves_certify_or_report_precision(self, **draw):
+        """Every solve is certified by kkt_check, or it stops for
+        'precision' with a KKT residual above tol_kkt."""
+        inst, lam_b, lam_e = recipe_draw(**draw)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        assert sol.converged == (sol.stop is None)
+        if not xl.kkt_check(inst, sol).certified:
+            assert sol.stop == "precision"
+            assert sol.kkt_residual > solver.SolverConfig().tol_kkt
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**RECIPE)
+    def test_no_step_raises_the_objective(self, **draw):
+        """Every feature-sign step that is taken ends at an objective no
+        higher than its start's."""
+        inst, lam_b, lam_e = recipe_draw(**draw)
+        p = inst.p
+        moves = []  # (lambdas, x before, x after) per step taken
+        real = solver._feature_sign_step
+
+        def step(X, y, x, r, theta, gamma, lb, le, seen):
+            out = real(X, y, x, r, theta, gamma, lb, le, seen)
+            if out is not None:
+                moves.append(((lb, le), x.copy(), out[0].copy()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_feature_sign_step", step)
+            xl.solve_extended_lasso(inst, lam_b, lam_e)
+        for lams, before, after in moves:
+            old = xl.objective_value(inst, before[:p], before[p:], *lams)
+            new = xl.objective_value(inst, after[:p], after[p:], *lams)
+            assert new <= old + 1e-12 * max(1.0, abs(old))
+
+    def test_duplicated_column_zero_slope_step(self, monkeypatch):
+        """Columns 0 and 1 are equal, and the target level starts with
+        both at 0.5: their system is refused, and the null-space step along
+        (1, -1) has zero slope.  Bland's rule moves coordinate 0, the
+        smaller index, to zero, and the level ends certified.  The truth
+        holds neither column, so the solve from zero certifies too."""
+        rng = np.random.default_rng(4)
+        n, p = 30, 4
+        X = rng.standard_normal((n, p))
+        X[:, 1] = X[:, 0]
+        beta_star = np.array([0.0, 0.0, 1.5, -1.0])
+        inst = make_instance_from_parts(
+            np.asfortranarray(X), beta_star, np.zeros(n),
+            0.05 * rng.standard_normal(n), sigma=0.05)
+        lam_b, lam_e = 0.05, 1.0
+        nulls = []  # (signs, zero slope, direction on beta) per null step
+        real = solver._null_direction
+
+        def null_direction(X, x, theta, gamma):
+            out = real(X, x, theta, gamma)
+            nulls.append((theta[:p].tolist(), out[1], out[0][:p].tolist()))
+            return out
+
+        monkeypatch.setattr(solver, "_null_direction", null_direction)
+        beta, e = np.array([0.5, 0.5, 0.0, 0.0]), np.zeros(n)
+        b, ee, kkt, steps, stop = solver._level(inst, lam_b, lam_e, beta, e,
+                                                1e-9, 100, True)
+        signs, zero_slope, d = nulls[0]
+        assert signs == [1.0, 1.0, 0.0, 0.0] and zero_slope
+        assert d[0] < 0.0 < d[1] and d[0] == pytest.approx(-d[1])
+        assert kkt is not None and stop is None and steps > 1
+        sol = xl.Solution(beta_hat=b, e_hat=ee, lambda_beta=lam_b,
+                          lambda_e=lam_e, objective=xl.objective_value(
+                              inst, b, ee, lam_b, lam_e),
+                          iterations=steps, converged=True, kkt_residual=kkt)
+        assert xl.kkt_check(inst, sol).certified
+        assert xl.kkt_check(inst, xl.solve_extended_lasso(
+            inst, lam_b, lam_e)).certified
+
+    @pytest.mark.parametrize("i", [3, 5, 18])
+    def test_fista_agrees_on_former_stalls(self, i):
+        """Recipe instances 3, 5 and 18 at default_rng(1), where coordinate
+        descent stalled: the solve certifies, FISTA from zero does not end
+        below it, and FISTA started at its answer cannot lower it."""
+        inst, lam_b, lam_e = recipe_instance(1, i)
+        sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
+        assert sol.converged and xl.kkt_check(inst, sol).certified
+        slack = 1e-12 * max(1.0, abs(sol.objective))
+        obj, _ = fista(inst.X, inst.y, lam_b, lam_e, tol=1e-9, iters=20_000)
+        assert sol.objective <= obj + slack
+        obj, _ = fista(inst.X, inst.y, lam_b, lam_e, tol=1e-9, iters=5_000,
+                       start=(sol.beta_hat, sol.e_hat))
+        assert obj >= sol.objective - slack

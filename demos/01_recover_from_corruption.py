@@ -27,7 +27,8 @@ lam_b, lam_e = xl.lambdas_simulation(sigma, n, p)
 print(f"lambda_beta = {lam_b:.4f}, lambda_e = {lam_e:.4f}")
 
 sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
-print(f"solved in {sol.iterations} sweeps, KKT residual {sol.kkt_residual:.1e}")
+print(f"solved in {sol.iterations} feature-sign steps, "
+      f"KKT residual {sol.kkt_residual:.1e}")
 
 met = xl.recovery_metrics(inst, sol)
 print(f"beta signed support exact: {met.signed_support_beta}")

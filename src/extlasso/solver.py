@@ -25,8 +25,8 @@ level is one call of _level, the one active-set kernel, in two phases:
 
 Both phases end at one judge (_judge): the path levels run to a loose 1e-6,
 and the target must certify, in extended precision (float80 on x86) where
-float64 rounding can explain a miss.  If the target level ends without a
-certified point, converged=False is returned with the reason (STOP_REASONS).
+float64 rounding can explain a miss.  A target level that ends without a
+certified point returns converged=False with a model.STOP_REASONS entry.
 
 The grid is walked with a doubling stride, as continuation grows its step
 while the subproblems stay easy (FPC, Hale, Yin & Zhang 2008).  A level
@@ -48,10 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_ROWS, STOP_REASONS, InputError, ProblemInstance,
-                    SingularMatrixError, Solution, _residual, _row_blocks,
-                    check_finite_positive, index_array, objective_value,
-                    residual_objective)
+from .model import (_ROWS, InputError, ProblemInstance, SingularMatrixError,
+                    Solution, _residual, _row_blocks, check_finite_positive,
+                    index_array, objective_value, residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -264,7 +263,7 @@ def _level(instance, lam_b, lam_e, beta, e, tol, budget, exact,
     fails, at most budget feature-sign steps from (beta, e) over
     x = (beta, e).  With hold_e, e stays zero.  Returns (beta, e, kkt,
     steps, stop): kkt is the accepted point's KKT residual, or None with
-    stop the reason (STOP_REASONS); steps counts feature-sign steps.
+    stop the reason (model.STOP_REASONS); steps counts feature-sign steps.
 
     A full step that keeps its signs settles x: its on-support conditions
     are taken as met (at tiny penalties float64 cannot read them to tol),

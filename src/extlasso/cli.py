@@ -124,14 +124,7 @@ def _cmd_verify(ns) -> int:
         "certified": report.certified,
     }
     if inst.truth is not None:
-        met = recovery_metrics(inst, sol)
-        payload["recovery"] = {
-            "l2_beta": met.l2_beta, "l2_e": met.l2_e,
-            "linf_beta": met.linf_beta, "linf_e": met.linf_e,
-            "signed_support_beta": met.signed_support_beta,
-            "signed_support_e": met.signed_support_e,
-            "prediction_error": met.prediction_error,
-        }
+        payload["recovery"] = asdict(recovery_metrics(inst, sol))
         wit = primal_dual_witness(inst, inst.truth.T, inst.truth.S,
                                   sol.lambda_beta, sol.lambda_e)
         payload["witness"] = {

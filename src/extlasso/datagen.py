@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (_ROWS, GenerationMeta, GroundTruth, InputError,
-                    ProblemInstance)
+                    ProblemInstance, check_finite_positive)
 from .rng import (STREAM_BETA_MAG, STREAM_BETA_SUPPORT, STREAM_DESIGN,
                   STREAM_E_MAG, STREAM_E_SUPPORT, STREAM_NOISE, stream)
 
@@ -169,8 +169,7 @@ def gen_instance(n: int, p: int, *, k: int | None = None,
     SparsityRegime.  In "missing" mode the s chosen observations are zeroed:
     e*_i is set to -(X beta* + w)_i / sqrt(n) so that y_i = 0.
     """
-    if sigma < 0:
-        raise InputError("sigma must be >= 0")
+    check_finite_positive("sigma", sigma, zero_ok=True)
     if corruption_mode not in ("gross", "missing"):
         raise InputError(f"unknown corruption mode {corruption_mode!r}")
     if isinstance(regime, str):

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DEFAULT_ZERO_TOL, InputError, ProblemInstance, Solution,
-                    _as_vector, check_finite_positive, extract_signed_support,
+                    _as_vector, check_count, check_finite_positive,
+                    extract_signed_support,
                     index_array)
 from .rng import stream
 from .solver import _scaled_duals, restricted_solution
@@ -183,8 +184,7 @@ def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
     lam = float(lambda_ratio)
     if not (math.isfinite(lam) and lam > 0):
         raise InputError("lambda_ratio must be finite and > 0")
-    if num_samples < 1:
-        raise InputError("num_samples must be >= 1")
+    check_count("num_samples", num_samples)
     if restrict not in (None, "f_zero", "h_zero"):
         raise InputError(f"unknown restriction {restrict!r}")
     X = np.asarray(X, dtype=np.float64)

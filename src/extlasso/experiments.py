@@ -25,7 +25,7 @@ import numpy as np
 
 from .datagen import SparsityRegime, gen_instance, n_from_theta
 from .diagnostics import recovery_metrics
-from .model import DEFAULT_ZERO_TOL, InputError
+from .model import DEFAULT_ZERO_TOL, InputError, check_count
 from .regparams import (IDENTITY_REPORT, LambdaPair, TheoryInputs,
                         lambdas_gaussian_design, lambdas_simulation,
                         lambdas_support_recovery, magnitude_thresholds)
@@ -274,8 +274,10 @@ def run_sweep(cfg: SweepConfig, n_workers: int = 1,
               progress=None) -> SweepResult:
     """Run every (cell, trial) and aggregate; deterministic in master_seed.
 
-    n_workers > 1 runs the trials on a _worker_pool of that many processes.
+    n_workers > 1 runs the trials on a _worker_pool of that many processes;
+    InputError unless n_workers is an integer >= 1.
     """
+    check_count("n_workers", n_workers)
     cells = cfg.cells()
     tasks = [(cfg, cell, t) for cell in cells for t in range(cfg.trials)]
     records = []

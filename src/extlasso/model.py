@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,6 +62,12 @@ def check_finite_positive(name: str, value, zero_ok: bool = False) -> None:
                          f"{'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
+def check_count(name: str, value) -> None:
+    """InputError unless value is an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def index_array(name: str, idx, size: int) -> np.ndarray:
     """idx as an index array in the caller's order; InputError unless every
     entry is an integer in [0, size), so that -1 cannot wrap around, 1.7
@@ -102,8 +109,7 @@ class GroundTruth:
             _check_finite(name, getattr(self, name))
         if self.e_star.shape != self.w.shape:
             raise DimensionMismatchError("e_star and w must have equal length")
-        if self.sigma < 0:
-            raise InputError("sigma must be >= 0")
+        check_finite_positive("sigma", self.sigma, zero_ok=True)
 
     @property
     def T(self) -> np.ndarray:
@@ -192,7 +198,9 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class Solution:
-    """Solver output for one extended-Lasso problem."""
+    """Solver output for one extended-Lasso problem.  converged: kkt_residual
+    <= tol_kkt, so every off-support scaled dual |z| <= 1 + tol_kkt; certified
+    (kkt_check) also needs strict feasibility, off-support |z| < 1 - 1e-12."""
 
     beta_hat: np.ndarray
     e_hat: np.ndarray
@@ -214,7 +222,9 @@ class Solution:
                              f"got {self.stop!r}")
 
     def validate_objective(self, instance: ProblemInstance, rtol: float = 1e-10) -> None:
-        """Check the stored objective against a recomputation from the fields."""
+        """Check the stored objective against a recomputation from the fields;
+        InputError unless rtol is finite and >= 0."""
+        check_finite_positive("rtol", rtol, zero_ok=True)
         obj = objective_value(instance, self.beta_hat, self.e_hat,
                               self.lambda_beta, self.lambda_e)
         if abs(obj - self.objective) > rtol * max(1.0, abs(obj)):
@@ -294,8 +304,8 @@ def objective_value(instance: ProblemInstance, beta, e,
     The residual is summed over the support columns of beta only, in row
     blocks (_residual): the skipped columns add exact zeros, and an
     extended-precision beta converts _ROWS rows of X at a time, not X."""
-    if lambda_beta <= 0 or lambda_e <= 0:
-        raise InputError("lambda_beta and lambda_e must be > 0")
+    check_finite_positive("lambda_beta", lambda_beta)
+    check_finite_positive("lambda_e", lambda_e)
     n, p = instance.X.shape
     dtype = np.result_type(np.asarray(beta).dtype, np.float64)
     b = _as_vector("beta", beta, p, dtype=dtype)

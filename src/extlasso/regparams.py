@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (InputError, ProblemInstance, SingularMatrixError,
-                    index_array)
+                    check_finite_positive, index_array)
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ class TheoryInputs:
         if not (self.n >= 1 and self.p >= 1 and 0 <= self.k <= self.p
                 and 0 <= self.s <= self.n):
             raise InputError("inconsistent dimensions")
-        if self.sigma < 0:
-            raise InputError("sigma must be >= 0")
+        check_finite_positive("sigma", self.sigma, zero_ok=True)
         for name in ("gamma_incoherence", "epsilon", "delta"):
             v = getattr(self, name)
             if not 0 < v < 1:

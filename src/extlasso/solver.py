@@ -36,21 +36,22 @@ grid level stride ahead.  A refused skip resets the stride to 1 and runs
 the next level.  No skip lands on the target, which is always one _level
 call from the last visited level.
 
-The restricted system is the k x k Gram matrix G = X'_{ScT} X_{ScT} of the
-normal equations, so its gate is cond(G) <= _MAX_COND (1e12, from the
-eigenvalues of G), i.e. cond(X_{ScT}) <= 1e6.
+One routine, _restricted_point, forms, gates and solves the restricted system
+for the steps, the judge's longdouble re-solve and restricted_solution: the
+k x k Gram matrix G = X'_{ScT} X_{ScT} of the normal equations, gated by
+cond(G) <= _MAX_COND (1e12, from its eigenvalues), i.e. cond(X_{ScT}) <= 1e6.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (_ROWS, InputError, ProblemInstance, SingularMatrixError,
-                    Solution, _residual, _row_blocks, check_finite_positive,
-                    index_array, objective_value, residual_objective)
+                    Solution, _residual, _row_blocks, check_count,
+                    check_finite_positive, index_array, objective_value,
+                    residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -69,17 +70,16 @@ class SolverConfig:
     its batch active-set step settles makes none, so the count is 0 where
     that happens on every level.  tol_kkt is the target stationarity
     residual (scaled dual units): max over coordinates of |z_i - sgn x_i|
-    on the support and of max(|z_i| - 1, 0) off it.
+    on the support and of max(|z_i| - 1, 0) off it.  A solve converges at
+    residual <= tol_kkt; kkt_check certifies only if also every off-support
+    |z_i| < 1 - 1e-12, which a converged point on a tie (|z_i| = 1) misses.
     """
 
     max_iters: int = 50_000
     tol_kkt: float = 1e-9
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) \
-                or self.max_iters < 1:
-            raise InputError(f"max_iters must be an integer >= 1, "
-                             f"got {self.max_iters!r}")
+        check_count("max_iters", self.max_iters)
         check_finite_positive("tol_kkt", self.tol_kkt)
 
 
@@ -111,11 +111,6 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
                                               initial=0.0)))
         off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
     return duals, on_worst, off[0], off[1]
-
-
-def _joint_kkt_residual(X, y, beta, e, lam_b, lam_e, r=None):
-    """Max stationarity violation of the joint program at (beta, e)."""
-    return _duals(X, y, beta, e, lam_b, lam_e, r)[2]
 
 
 def _duals(X, y, b, ee, lam_b, lam_e, r=None, hold_e=False):
@@ -168,16 +163,18 @@ def _next_signs(signs, x, z, tol):
     return out
 
 
-def _signed_point(X, y, sb, se, b, ee, lam_b, lam_e, seen):
-    """The float64 restricted point (beta, e, r) on the signs (sb, se),
-    anchored at (b, ee), or None if refused; seen's points are reused."""
+def _signed_point(X, y, sb, se, b, ee, lam_b, lam_e, seen,
+                  dtype=np.float64):
+    """The restricted point (beta, e, r) on the signs (sb, se), anchored at
+    (b, ee) and solved in dtype (_restricted_point), or None if refused;
+    seen's points are reused."""
     key = _sign_key(sb, se)
     if key in seen:
         return seen[key]
     T, S = np.flatnonzero(sb), np.flatnonzero(se)
     try:
         return _restricted_point(X, y, T, S, sb[T], se[S], b[T], ee[S],
-                                 lam_b, lam_e, np.float64)[2:]
+                                 lam_b, lam_e, dtype)[2:]
     except SingularMatrixError:
         return None
 
@@ -242,19 +239,14 @@ def _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
         return b, ee, kkt
     if kkt - err > tol:
         return None
-    T, S = np.flatnonzero(b), np.flatnonzero(ee)
     key = _sign_key(b, ee)
-    try:
-        *_, b, ee, r = _restricted_point(X, y, T, S, np.sign(b[T]),
-                                         np.sign(ee[S]), b[T], ee[S], lam_b,
-                                         lam_e, np.longdouble)
-    except SingularMatrixError:
+    point = _signed_point(X, y, np.sign(b), np.sign(ee), b, ee, lam_b, lam_e,
+                          {}, np.longdouble)
+    if point is None or _sign_key(*point[:2]) != key:
         return None
-    if _sign_key(b, ee) == key:
-        kkt = _joint_kkt_residual(X, y, b, ee, lam_b, lam_e, r)
-        if kkt <= tol:
-            return b, ee, kkt
-    return None
+    b, ee, r = point
+    kkt = _duals(X, y, b, ee, lam_b, lam_e, r)[2]
+    return (b, ee, kkt) if kkt <= tol else None
 
 
 def _level(instance, lam_b, lam_e, beta, e, tol, budget, exact,
@@ -454,7 +446,7 @@ def solve_extended_lasso(instance: ProblemInstance, lam_b: float, lam_e: float,
         converged = exact and kkt is not None
         stride = 2 * stride if it == 0 else 1
     if not converged:
-        kkt = _joint_kkt_residual(X, y, beta, e, lam_b, lam_e)
+        kkt = _duals(X, y, beta, e, lam_b, lam_e)[2]
     obj = objective_value(instance, beta, e, lam_b, lam_e)
     return Solution(beta_hat=beta, e_hat=e, lambda_beta=lam_b, lambda_e=lam_e,
                     objective=obj, iterations=total, converged=converged,
@@ -511,7 +503,8 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
 
     and returns (h_T, g_S, beta_hat, e_hat) with beta_hat = beta~ + h on T
     (zero off T) and e_hat = e~ + g on S (zero off S), in the order of T
-    and S.  The anchor defaults to the instance truth.
+    and S.  The anchor defaults to the instance truth.  These are the first
+    four items of the solver's own _restricted_point, bit for bit.
 
     The system solved is the k x k Gram matrix G = X'_{ScT} X_{ScT}, so G is
     what is gated: SingularMatrixError when |T| > n - |S| or when cond(G)
@@ -531,34 +524,29 @@ def restricted_solution(instance: ProblemInstance, T, S, lam_b: float,
         anchor_e = instance.truth.e_star
     anchor_T = np.asarray(anchor_beta, dtype=dtype)[T]
     anchor_S = np.asarray(anchor_e, dtype=dtype)[S]
-    X, y = instance.X, instance.y.astype(dtype, copy=False)
-    h_T, beta_hat, w_S = _restricted_system(
-        X, y, T, S, np.sign(anchor_T), np.sign(anchor_S), anchor_T, anchor_S,
-        lam_b, lam_e, dtype)
-    Xh = np.empty(n, dtype=dtype)
-    for rows, XbT in _row_blocks(X, T, dtype):
-        Xh[rows] = XbT @ h_T
-    g_S, e_hat = _restricted_e(n, S, np.sign(anchor_S), anchor_S, w_S, Xh[S],
-                               lam_e)
-    return h_T, g_S, beta_hat, e_hat
+    return _restricted_point(instance.X, instance.y, T, S, np.sign(anchor_T),
+                             np.sign(anchor_S), anchor_T, anchor_S, lam_b,
+                             lam_e, dtype)[:4]
 
 
-def _restricted_system(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
-                       lam_b, lam_e, dtype):
-    """restricted_solution's system with explicit signs on T and S (an
+def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
+                      lam_b, lam_e, dtype):
+    """restricted_solution's point with explicit signs on T and S (an
     entering coordinate has anchor 0 and the sign of its dual) and the
     anchor's entries on T and S, all in the order of T and S, solved in
-    dtype (y already in dtype).  Returns (h_T, beta_hat, w_S), w_S =
-    y_S - X_{S,T} anchor_T - sqrt(n) anchor_S.
+    dtype.  Returns (h_T, g_S, beta_hat, e_hat, r), r = y - X beta_hat -
+    sqrt(n) e_hat; the one code that forms, gates and solves the system.
 
     X[:, T] is read _ROWS rows at a time (_row_blocks), converted to dtype,
-    in one pass that sums G and the right-hand side over the blocks, so
-    the memory is O(n + |T|^2 + _ROWS |T|), not O(n |T|)."""
+    in two passes: the first sums X_T anchor_T, G and both right-hand
+    sides, the second forms X_T h_T and X_T beta_hat_T.  So the memory is
+    O(n + |T|^2 + _ROWS |T|), not O(n |T|)."""
     n, p = X.shape
     k, s = len(T), len(S)
     if k > n - s:
         raise SingularMatrixError(
             f"restricted system needs |T| <= n - |S| ({k} > {n - s})")
+    y = y.astype(dtype, copy=False)
     rn = np.sqrt(dtype(n))
     on_S = np.zeros(n, dtype=bool)
     on_S[S] = True
@@ -586,35 +574,15 @@ def _restricted_system(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
                             - n * lam_b * sign_beta)
     else:
         h_T = np.zeros(0, dtype=dtype)
-
     beta_hat = np.zeros(p, dtype=dtype)
     beta_hat[T] = anchor_T + h_T
-    return h_T, beta_hat, y[S] - Xa[S] - rn * anchor_S
 
-
-def _restricted_e(n, S, sign_e, anchor_S, w_S, Xh_S, lam_e):
-    """(g_S, e_hat) of the restricted system from w_S and X_{S,T} h_T."""
-    rn = np.sqrt(w_S.dtype.type(n))
-    g_S = -Xh_S / rn + w_S / rn - lam_e * sign_e
-    e_hat = np.zeros(n, dtype=w_S.dtype)
-    e_hat[S] = anchor_S + g_S
-    return g_S, e_hat
-
-
-def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
-                      lam_b, lam_e, dtype):
-    """The restricted point (_restricted_system) with its residual:
-    returns (h_T, g_S, beta_hat, e_hat, r), r = y - X beta_hat -
-    sqrt(n) e_hat.  One more pass over the blocks of X[:, T] forms X_T h_T
-    and X_T beta_hat_T."""
-    n = X.shape[0]
-    y = y.astype(dtype, copy=False)
-    h_T, beta_hat, w_S = _restricted_system(X, y, T, S, sign_beta, sign_e,
-                                            anchor_T, anchor_S, lam_b, lam_e,
-                                            dtype)
     Xh, Xb = np.empty(n, dtype=dtype), np.empty(n, dtype=dtype)
     for rows, XbT in _row_blocks(X, T, dtype):
         Xh[rows] = XbT @ h_T
         Xb[rows] = XbT @ beta_hat[T]
-    g_S, e_hat = _restricted_e(n, S, sign_e, anchor_S, w_S, Xh[S], lam_e)
-    return h_T, g_S, beta_hat, e_hat, y - Xb - np.sqrt(dtype(n)) * e_hat
+    w_S = y[S] - Xa[S] - rn * anchor_S
+    g_S = -Xh[S] / rn + w_S / rn - lam_e * sign_e
+    e_hat = np.zeros(n, dtype=dtype)
+    e_hat[S] = anchor_S + g_S
+    return h_T, g_S, beta_hat, e_hat, y - Xb - rn * e_hat

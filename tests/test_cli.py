@@ -211,6 +211,30 @@ class TestErrorPaths:
         assert code == 2
 
 
+    def test_nan_noise_level_exits_2(self, tmp_path, capsys):
+        # a nan sigma used to pass `sigma < 0`, exit 0 and write "sigma":
+        # NaN, which is not JSON
+        path = tmp_path / "inst.json"
+        code, _, err = run_cli(["generate", "-n", "20", "-p", "5", "--k", "2",
+                                "--sigma", "nan", "-o", str(path)], capsys)
+        assert code == 2
+        assert "sigma" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, capsys, workers):
+        # used to run serially without a word
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p_list": [32],
+                                        "regimes": ["sublinear"],
+                                        "theta_grid": [0.5], "trials": 1}))
+        code, _, err = run_cli(["sweep", str(cfg_path), str(tmp_path / "o"),
+                                "--workers", workers], capsys)
+        assert code == 2
+        assert "n_workers" in err
+        assert not (tmp_path / "o" / "sweep_result.json").exists()
+
+
 class TestSweepAndReport:
     def test_sweep_writes_results_and_curves(self, tmp_path, capsys):
         cfg = {"p_list": [32], "regimes": ["sublinear"],
@@ -257,6 +281,29 @@ class TestSweepAndReport:
         assert "witness" in payload
         assert payload["witness"]["failing_condition"] in (
             "none", "dual_beta", "dual_e", "sign_beta", "sign_e")
+
+    def test_verify_recovery_lists_the_metrics_fields(self, tmp_path,
+                                                       instance_file, capsys):
+        """verify's recovery object holds RecoveryMetrics' seven fields, in
+        their order, with the values recovery_metrics gives."""
+        sol_path = tmp_path / "sol.json"
+        run_cli(["solve", str(instance_file), "-o", str(sol_path)], capsys)
+        code, out, _ = run_cli(["verify", str(instance_file), str(sol_path)],
+                               capsys)
+        assert code == 0
+        inst = xl.ProblemInstance.from_json(instance_file.read_text())
+        met = xl.recovery_metrics(inst,
+                                  xl.Solution.from_json(sol_path.read_text()))
+        want = {
+            "l2_beta": met.l2_beta, "l2_e": met.l2_e,
+            "linf_beta": met.linf_beta, "linf_e": met.linf_e,
+            "signed_support_beta": met.signed_support_beta,
+            "signed_support_e": met.signed_support_e,
+            "prediction_error": met.prediction_error,
+        }
+        got = json.loads(out)["recovery"]
+        assert list(got) == list(want)
+        assert got == json.loads(json.dumps(want))
 
     @pytest.mark.parametrize("extra, named", [
         ({"trails": 2}, "trails"),

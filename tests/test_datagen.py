@@ -160,6 +160,15 @@ class TestInstance:
         with pytest.raises(xl.InputError):
             xl.gen_instance(10, 4, k=2, s=11, sigma=0.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_noise_level_must_be_finite_and_non_negative(self, sigma):
+        # nan used to pass `sigma < 0`
+        with pytest.raises(xl.InputError, match="sigma"):
+            xl.gen_instance(20, 5, k=2, sigma=sigma, seed=0)
+        with pytest.raises(xl.InputError, match="sigma"):
+            xl.GroundTruth(beta_star=np.zeros(5), e_star=np.zeros(20),
+                           w=np.zeros(20), sigma=sigma)
+
     def test_regime_path(self):
         inst = xl.gen_instance(200, 128, regime="sublinear", s=10, sigma=0.1,
                                seed=1)

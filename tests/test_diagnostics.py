@@ -246,6 +246,13 @@ class TestReEstimate:
         with pytest.raises(xl.InputError):
             xl.extended_re_estimate(X, [0], [0], lam, 100)
 
+    @pytest.mark.parametrize("count", [2.5, 0, -3, "100"])
+    def test_sample_count_must_be_an_integer_of_at_least_one(self, count):
+        # 2.5 used to raise TypeError
+        X = stream(66, 0).standard_normal((20, 6))
+        with pytest.raises(xl.InputError, match="num_samples"):
+            xl.extended_re_estimate(X, [0], [0], 1.0, count)
+
 
 def _cone_instance(n, p, seed, data):
     """A Gaussian design and supports T, S of any size from empty to full,

@@ -90,6 +90,12 @@ class TestSweep:
         par = run_sweep(cfg, n_workers=3)
         assert sweep_result_to_dict(seq) == sweep_result_to_dict(par)
 
+    @pytest.mark.parametrize("workers", [0, -2, 2.0])
+    def test_worker_count_must_be_an_integer_of_at_least_one(self, workers):
+        # 0 and -2 used to run serially without a word
+        with pytest.raises(xl.InputError, match="n_workers"):
+            run_sweep(tiny_config(), n_workers=workers)
+
     def test_pooled_workers_get_one_blas_thread(self, monkeypatch):
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         for name in names:

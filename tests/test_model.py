@@ -127,6 +127,16 @@ class TestObjective:
         assert peak < inst.X.nbytes
 
 
+    @pytest.mark.parametrize("name", ["lambda_beta", "lambda_e"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_penalty_must_be_finite_and_positive(self, name, bad):
+        # a nan or inf penalty used to raise NumericError
+        inst = xl.gen_instance(12, 4, k=2, s=2, sigma=0.1, seed=4)
+        lams = {"lambda_beta": 0.1, "lambda_e": 0.1, name: bad}
+        with pytest.raises(xl.InputError, match=name):
+            xl.objective_value(inst, np.zeros(4), np.zeros(12), **lams)
+
+
 class TestProblemInstance:
     def test_reconstruction_identity(self):
         for seed in range(5):
@@ -194,6 +204,14 @@ class TestSerialization:
         d["stop"] = "stalled"
         with pytest.raises(xl.InputError, match="stop"):
             solution_from_dict(d)
+
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), -1e-10])
+    def test_objective_tolerance_must_be_finite_and_non_negative(self, rtol):
+        # a nan rtol used to pass every comparison and check nothing
+        inst = xl.gen_instance(20, 6, k=2, s=4, sigma=0.1, seed=2)
+        sol = xl.solve_extended_lasso(inst, *xl.lambdas_simulation(0.1, 20, 6))
+        with pytest.raises(xl.InputError, match="rtol"):
+            sol.validate_objective(inst, rtol=rtol)
 
     def test_schema_guard(self):
         with pytest.raises(xl.InputError):

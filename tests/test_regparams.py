@@ -35,6 +35,13 @@ def report_by_scipy(sigma, T):
     }
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_theory_inputs_noise_level_must_be_finite_and_non_negative(sigma):
+    # nan used to pass `sigma < 0`
+    with pytest.raises(xl.InputError, match="sigma"):
+        TheoryInputs(n=100, p=20, k=2, s=10, sigma=sigma)
+
+
 class TestCovarianceReport:
     def test_identity_scalars(self):
         rep = xl.covariance_report(np.eye(6), [1, 4])

@@ -122,8 +122,8 @@ def fista(X, y, lam_b, lam_e, tol, iters=50_000, start=None):
         vb = beta_new + mom * (beta_new - beta)
         ve = e_new + mom * (e_new - e)
         beta, e, t = beta_new, e_new, t_new
-        if it % 10 == 0 and solver._joint_kkt_residual(
-                X, y, beta, e, lam_b, lam_e) <= tol:
+        if it % 10 == 0 and solver._duals(
+                X, y, beta, e, lam_b, lam_e)[2] <= tol:
             converged = True
             break
     r = y - X @ beta - rn * e
@@ -254,6 +254,25 @@ class TestExtendedLasso:
         rep = xl.kkt_check(inst, sol)
         assert rep.stationarity_residual <= 1e-9
 
+    def test_converged_on_a_tie_is_not_certified(self):
+        """Converged allows off-support |z| <= 1 + tol_kkt; certified asks
+        for |z| < 1 - 1e-12 too.  With two equal columns and the optimum on
+        one of them, the other's dual is 1 to rounding: converged, not
+        certified (the documented difference)."""
+        X = np.random.default_rng(4).standard_normal((30, 4))
+        X[:, 1] = X[:, 0]
+        y = X @ np.array([1.5, 0.0, -1.0, 0.0])
+        inst = ProblemInstance(X=np.asfortranarray(X), y=y)
+        sol = xl.solve_extended_lasso(inst, 0.05, 1.0)
+        assert sol.converged and sol.stop is None
+        assert sol.kkt_residual <= solver.SolverConfig().tol_kkt
+        assert sol.beta_hat[1] == 0.0 and sol.beta_hat[0] != 0.0
+        rep = xl.kkt_check(inst, sol)
+        assert rep.stationarity_residual <= rep.tol and rep.sign_consistent
+        assert 1.0 - 1e-12 <= rep.max_offsupport_zbeta \
+            <= 1.0 + solver.SolverConfig().tol_kkt
+        assert not rep.strict_feasible and not rep.certified
+
     def test_path_independence(self, monkeypatch):
         inst = xl.gen_instance(50, 10, k=3, s=10, sigma=0.2, seed=23)
         pair = xl.lambdas_simulation(0.2, 50, 10)
@@ -361,8 +380,8 @@ class TestExactFinish:
         sol = xl.solve_extended_lasso(inst, lam_b, lam_e)
         assert dtypes and set(dtypes) == {np.float64}
         assert not sol.converged and sol.stop == "singular"
-        assert sol.kkt_residual == solver._joint_kkt_residual(
-            inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)
+        assert sol.kkt_residual == solver._duals(
+            inst.X, inst.y, sol.beta_hat, sol.e_hat, lam_b, lam_e)[2]
 
     def test_no_restricted_solve_repeats_within_a_call(self, monkeypatch):
         """Within one level call, no signed support repeats: the
@@ -454,7 +473,7 @@ class TestExactFinish:
             if not (np.array_equal(np.sign(b[T]), sb)
                     and np.array_equal(np.sign(ee[S]), se)):
                 return "flip"
-            kkt = solver._joint_kkt_residual(X, y, b, ee, lam_b, lam_e)
+            kkt = solver._duals(X, y, b, ee, lam_b, lam_e)[2]
             err = solver._float64_rounding_error(X, y, b, ee, lam_b, lam_e)
             return "beyond" if kkt - err > tol else "within"
 
@@ -693,8 +712,7 @@ class TestLevelStep:
             before = xl.objective_value(inst, beta, e, lb, le)
             assert xl.objective_value(inst, b, ee, lb, le) <= \
                 before + 1e-12 * max(1.0, abs(before))
-            assert solver._joint_kkt_residual(inst.X, inst.y, b, ee, lb,
-                                              le) <= tol
+            assert solver._duals(inst.X, inst.y, b, ee, lb, le)[2] <= tol
 
 
 class TestSupportSizedWork:
@@ -923,8 +941,8 @@ class TestRestrictedSolution:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_public_point_is_the_solver_point(self, dtype):
-        """restricted_solution forms no residual, and its four items are
-        the solver's _restricted_point bit for bit, over two row blocks."""
+        """restricted_solution returns four items, the first four of the
+        solver's _restricted_point bit for bit, over two row blocks."""
         n = 2 * solver._ROWS + 37
         inst = xl.gen_instance(n, 12, k=4, s=n // 4, sigma=0.1, seed=36)
         t = inst.truth

@@ -20,7 +20,7 @@ from .datagen import CovarianceSpec, gen_instance
 from .diagnostics import kkt_check, primal_dual_witness, recovery_metrics
 from .experiments import (emit_curves, run_sweep, sweep_config_from_dict,
                           sweep_result_from_dict, sweep_result_to_dict)
-from .model import (InputError, NumericError, ProblemInstance,
+from .model import (InputError, NumericError, ProblemInstance, check_count,
                     instance_from_dict, solution_from_dict)
 from .regparams import (TheoryInputs, covariance_report, lambdas_gaussian_design,
                         lambdas_noise_oracle, lambdas_simulation,
@@ -181,6 +181,7 @@ def _cmd_params(ns) -> int:
 
 def _cmd_sweep(ns) -> int:
     cfg = sweep_config_from_dict(json.loads(_read_text(ns.config)))
+    check_count("n_workers", ns.workers)  # before anything is written
     out = Path(ns.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -23,27 +23,29 @@ extended_re_estimate samples the cone
 
 and reports the smallest observed value of
 ||X h + sqrt(n) f||_2 / (sqrt(n) (||h||_2 + ||f||_2)).  The directions come
-from one random stream in fixed batches of 1000, and each batch is scaled
-into the cone and evaluated in one in-place pass over preallocated buffers.
-The ratio is invariant to a joint scaling of (h, f), so it is computed
-without normalizing the directions.  Sampling can only over-estimate the
-true cone minimum.
+from one random stream in fixed batches of 1000.  Each batch is scaled into
+the cone and evaluated in place, _CONE_ROWS rows at a time, so that the
+sampler holds its draws and one row block.  The ratio is invariant to a
+joint scaling of (h, f), so it is computed without normalizing the
+directions.  Sampling can only over-estimate the true cone minimum.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DEFAULT_ZERO_TOL, InputError, ProblemInstance, Solution,
-                    _as_vector, check_count, check_finite_positive,
-                    extract_signed_support,
-                    index_array)
+from .model import (DEFAULT_ZERO_TOL, DimensionMismatchError, InputError,
+                    ProblemInstance, Solution, _as_vector, _check_finite,
+                    check_count, check_finite_positive,
+                    extract_signed_support, index_array)
 from .rng import stream
 from .solver import _scaled_duals, restricted_solution
 
 _TIE_TOL = 1e-12  # off-support duals within this of magnitude 1 are not strict
+_CONE_ROWS = 64  # rows of a cone-sampler draw buffer worked on at a time
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,40 @@ def primal_dual_witness(instance: ProblemInstance, T, S, lam_b: float,
     )
 
 
+def _cone_blocks(size: int, on: np.ndarray) -> list:
+    """(rows, on rows local to the block, 0/1 weights (2, block) picking
+    the on and the off rows) for consecutive _CONE_ROWS-row blocks of a
+    draw buffer with `size` rows; `on` is sorted."""
+    blocks = []
+    for i in range(0, size, _CONE_ROWS):
+        j = min(i + _CONE_ROWS, size)
+        local = on[np.searchsorted(on, i):np.searchsorted(on, j)] - i
+        w = np.zeros((2, j - i))
+        w[0, local] = 1.0
+        w[1] = 1.0 - w[0]
+        blocks.append((slice(i, j), local, w))
+    return blocks
+
+
+def _l1_sums(a, blocks, buf) -> np.ndarray:
+    """Column sums of |a| over its on rows and over its off rows, (2, batch),
+    one block of |a| in buf at a time."""
+    sums = np.zeros((2, a.shape[1]))
+    for rows, _, w in blocks:
+        sums += w @ np.abs(a[rows], out=buf[:len(w[0])])
+    return sums
+
+
+def _scale_rows(a, on, scale, on_factor: float, buf) -> None:
+    """a's rows times the column factors `scale`, in place, except the rows
+    `on`, which are saved in buf and put back times on_factor by assignment
+    (scale can be inf, and a 0/1 weight would turn 0 * inf into nan)."""
+    kept = np.take(a, on, axis=0, out=buf[:len(on)], mode="clip")
+    a *= scale
+    kept *= on_factor
+    a[on] = kept
+
+
 def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
                          seed=0, restrict: str | None = None) -> ReEstimate:
     """Monte-Carlo lower-curvature estimate over the restricted cone.
@@ -171,11 +207,15 @@ def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
     directions: h, then f, then the slack, a full batch each time, with the
     last batch truncated to num_samples.  The sample set for a larger
     num_samples is therefore a superset of any smaller one, and the minimum
-    can only fall as num_samples grows.  Each batch is one in-place pass over
-    buffers allocated once per call: the off-support rows are scaled into
-    the cone, and the ratio ||X h + sqrt(n) f||_2 / (sqrt(n) (||h||_2 +
+    can only fall as num_samples grows.  Besides the draw buffers h (p x
+    1000) and f (n x 1000), allocated once per call, the sampler holds one
+    block of _CONE_ROWS x 1000.  Block by block it sums the on- and
+    off-support L1 norms, scales the off-support rows into the cone (f
+    times sqrt(n) as well), and forms X h + sqrt(n) f and its column
+    norms.  The ratio ||X h + sqrt(n) f||_2 / (sqrt(n) (||h||_2 +
     ||f||_2)), which is invariant to a joint scaling of (h, f), is computed
-    without normalizing the directions first.
+    without normalizing the directions first.  InputError on a non-finite
+    X, DimensionMismatchError unless X is a matrix.
 
     restrict="f_zero" confines sampling to f = 0 (cone on h alone);
     "h_zero" confines it to h = 0.  The returned kappa_hat is the minimum
@@ -188,6 +228,9 @@ def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
     if restrict not in (None, "f_zero", "h_zero"):
         raise InputError(f"unknown restriction {restrict!r}")
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"X must be a matrix, got shape {X.shape}")
+    _check_finite("X", X)
     n, p = X.shape
     T = np.unique(index_array("T", T, p))
     S = np.unique(index_array("S", S, n))
@@ -197,9 +240,9 @@ def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
     batch = 1000
     h = np.empty((p, batch))
     f = np.empty((n, batch))
-    v = np.empty((n, batch))      # |f| off S, then X h + sqrt(n) f
-    abs_h = np.empty((p, batch))
+    buf = np.empty((_CONE_ROWS, batch))  # the one row block
     slack = np.empty(batch)
+    h_blocks, f_blocks = _cone_blocks(p, T), _cone_blocks(n, S)
     best = math.inf
     for done in range(0, num_samples, batch):
         m = min(batch, num_samples - done)
@@ -211,29 +254,29 @@ def extended_re_estimate(X, T, S, lambda_ratio: float, num_samples: int,
         if restrict == "h_zero":
             h.fill(0.0)
 
-        # scale the off-support rows by slack * 3 * on_l1 / off_l1; the
-        # support rows are saved and put back, so they stay exact
-        h_T, f_S = h[T], f[S]
-        on_l1 = np.abs(h_T).sum(axis=0) + lam * np.abs(f_S).sum(axis=0)
-        np.abs(h, out=abs_h)
-        abs_h[T] = 0.0
-        np.abs(f, out=v)
-        v[S] = 0.0
-        off_l1 = abs_h.sum(axis=0) + lam * v.sum(axis=0)
+        # on- and off-support L1 sums, then the off-support rows scaled by
+        # slack * 3 * on_l1 / off_l1
+        on_l1, off_l1 = (_l1_sums(h, h_blocks, buf)
+                         + lam * _l1_sums(f, f_blocks, buf))
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(off_l1 > 0, slack * 3.0 * on_l1 / off_l1, 0.0)
-        h *= scale
-        h[T] = h_T
-        f *= scale
-        f[S] = f_S
+        for rows, on, _ in h_blocks:
+            _scale_rows(h[rows], on, scale, 1.0, buf)
+        hh = np.einsum("ij,ij->j", h, h)
+        # f becomes sqrt(n) f, and v = X h + sqrt(n) f one block at a time
+        ff, vv = np.zeros(batch), np.zeros(batch)
+        scale *= rn
+        for rows, on, _ in f_blocks:
+            fb = f[rows]
+            _scale_rows(fb, on, scale, rn, buf)
+            ff += np.einsum("ij,ij->j", fb, fb)
+            vb = np.matmul(X[rows], h, out=buf[:len(fb)])
+            vb += fb
+            vv += np.einsum("ij,ij->j", vb, vb)
 
-        norm = (np.sqrt(np.einsum("ij,ij->j", h, h))
-                + np.sqrt(np.einsum("ij,ij->j", f, f)))
-        np.matmul(X, h, out=v)
-        f *= rn
-        v += f
+        norm = np.sqrt(hh) + np.sqrt(ff) / rn   # ||h||_2 + ||f||_2
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.sqrt(np.einsum("ij,ij->j", v, v)) / (rn * norm)
+            ratios = np.sqrt(vv) / (rn * norm)
         ok = norm[:m] > 0
         if np.any(ok):
             best = min(best, float(np.min(ratios[:m][ok])))
@@ -296,8 +339,15 @@ def parameter_error_bound(kappa: float, lam_b: float, lam_e: float,
     """The guaranteed l2-error level 3 kappa^-2 (lam_b sqrt(k) + lam_e sqrt(s)),
 
     with kappa deflated by `safety` (a sampled kappa over-estimates the true
-    cone infimum, so tests use safety = 0.5)."""
+    cone infimum, so tests use safety = 0.5).  InputError unless
+    safety * kappa is finite and > 0 (the sampler's kappa_hat is inf when no
+    sampled direction was valid), both lambdas are finite and >= 0, and k
+    and s are integers >= 0."""
     kap = safety * kappa
-    if kap <= 0:
-        raise InputError("need a positive curvature estimate")
+    check_finite_positive("safety * kappa", kap)
+    check_finite_positive("lam_b", lam_b, zero_ok=True)
+    check_finite_positive("lam_e", lam_e, zero_ok=True)
+    for name, size in (("k", k), ("s", s)):
+        if not isinstance(size, numbers.Integral) or size < 0:
+            raise InputError(f"{name} must be an integer >= 0, got {size!r}")
     return 3.0 / kap ** 2 * (lam_b * math.sqrt(k) + lam_e * math.sqrt(s))

@@ -234,6 +234,21 @@ class TestErrorPaths:
         assert "n_workers" in err
         assert not (tmp_path / "o" / "sweep_result.json").exists()
 
+    def test_worker_count_checked_before_anything_is_written(self, tmp_path,
+                                                             capsys):
+        # the output directory and the --dump-instance files used to be
+        # written before the worker count was refused
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"p_list": [32],
+                                        "regimes": ["sublinear"],
+                                        "theta_grid": [0.5], "trials": 1}))
+        code, _, _ = run_cli(["sweep", str(cfg_path), str(tmp_path / "o"),
+                              "--workers", "0",
+                              "--dump-instance", str(tmp_path / "d")], capsys)
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "d").exists()
+
 
 class TestSweepAndReport:
     def test_sweep_writes_results_and_curves(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,38 @@ class TestReEstimate:
         with pytest.raises(xl.InputError, match="num_samples"):
             xl.extended_re_estimate(X, [0], [0], 1.0, count)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_rejected(self, bad):
+        # used to return kappa_hat = inf without a word, and
+        # parameter_error_bound then gave a bound of 0
+        X = stream(68, 0).standard_normal((20, 6))
+        X[3, 2] = bad
+        with pytest.raises(xl.InputError, match="X"):
+            xl.extended_re_estimate(X, [0], [0], 1.0, 100)
+
+    @pytest.mark.parametrize("shape", [(20,), (2, 20, 6)])
+    def test_design_must_be_a_matrix(self, shape):
+        # a 1-D X raised a bare ValueError
+        X = np.ones(shape)
+        with pytest.raises(DimensionMismatchError):
+            xl.extended_re_estimate(X, [0], [0], 1.0, 100)
+
+    def test_working_memory_is_the_draws_and_one_block(self):
+        # the draw buffers h (p x 1000) and f (n x 1000) plus a bounded
+        # remainder; a sampler holding n x 1000 or s x 1000 work arrays
+        # besides f reads about 51 MB here
+        n, p, s = 2000, 200, 1000
+        X = stream(69, 0).standard_normal((n, p))
+        xl.extended_re_estimate(X[:20, :5], [0], [0], 1.0, 1)  # warm-up
+        tracemalloc.start()
+        try:
+            xl.extended_re_estimate(X, np.arange(5), np.arange(s), 1.0,
+                                    1000, seed=70)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + p) * 1000 * 8 + 4e6
+
 
 def _cone_instance(n, p, seed, data):
     """A Gaussian design and supports T, S of any size from empty to full,
@@ -407,3 +440,16 @@ class TestParameterErrorBound:
                                              safety=0.5)
             violations += met.l2_total > bound
         assert violations == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa": math.inf}, {"safety": math.inf}, {"kappa": math.nan},
+        {"safety": math.nan}, {"kappa": 0.0}, {"kappa": -0.5},
+        {"lam_b": math.nan}, {"lam_e": math.nan}, {"lam_b": math.inf},
+        {"lam_e": -0.1}, {"k": -1}, {"s": -1}, {"k": 2.5}, {"s": "40"}])
+    def test_invalid_inputs_rejected(self, kwargs):
+        # an infinite kappa or safety gave a bound of 0, a nan gave nan and
+        # k = -1 a bare "math domain error"
+        args = {"kappa": 0.6, "lam_b": 0.1, "lam_e": 0.05, "k": 5, "s": 40,
+                "safety": 0.5, **kwargs}
+        with pytest.raises(xl.InputError):
+            xl.parameter_error_bound(**args)

@@ -5,11 +5,16 @@ kkt_check certifies a candidate solution by recomputing the scaled duals
     z_beta = X^T (y - X b - sqrt(n) e) / (n lambda_beta)
     z_e    =     (y - X b - sqrt(n) e) / (sqrt(n) lambda_e)
 
-in extended precision (the residual is a small difference of large
-quantities, and at very small lambdas float64 rounding alone would swamp a
-1e-9 stationarity tolerance).  A report is certified when the on-support
-duals match the signs to within its tolerance and the off-support duals are
-strictly inside (-1, 1).
+The residual r is a small difference of large quantities, and at very small
+lambdas float64 rounding alone would swamp a 1e-9 stationarity tolerance.
+So r, z_e and the on-support z_beta, which the stationarity residual reads,
+are evaluated in extended precision.  The off-support z_beta needs only a
+margin to 1, and its X^T r is one float64 product on r rounded to float64,
+with a bound err on its error (solver._scaled_duals).  A report is
+certified when the on-support duals match the signs to within its
+tolerance and the off-support duals are strictly inside (-1, 1): every
+off-support |z_e|, and every off-support |z_beta| plus err, below
+1 - 1e-12.
 
 primal_dual_witness builds the candidate solution restricted to the true
 supports in closed form, assigns the true signs as on-support duals, then
@@ -42,7 +47,7 @@ from .model import (DEFAULT_ZERO_TOL, DimensionMismatchError, InputError,
                     check_count, check_finite_positive,
                     extract_signed_support, index_array)
 from .rng import stream
-from .solver import _scaled_duals, restricted_solution
+from .solver import _restricted_point, _scaled_duals
 
 _TIE_TOL = 1e-12  # off-support duals within this of magnitude 1 are not strict
 _CONE_ROWS = 64  # rows of a cone-sampler draw buffer worked on at a time
@@ -97,12 +102,14 @@ def kkt_check(instance: ProblemInstance, solution: Solution,
               tol: float = 1e-9) -> KktReport:
     """Evaluate the optimality system at the solution; always returns a
     report, certified only if the stationarity residual is at most tol.
+    max_offsupport_zbeta comes from the float64 off-support product, and
+    strict feasibility asks it plus err to be below 1 - 1e-12.
     DimensionMismatchError if the solution does not fit the instance, and
     InputError unless tol is finite and > 0."""
     check_finite_positive("tol", tol)
     beta = _as_vector("beta_hat", solution.beta_hat, instance.p, np.longdouble)
     e = _as_vector("e_hat", solution.e_hat, instance.n, np.longdouble)
-    (z_beta, z_e), stat, off_b, off_e = _scaled_duals(
+    (z_beta, z_e), stat, off_b, off_e, err = _scaled_duals(
         instance.X, instance.y, beta, e, solution.lambda_beta,
         solution.lambda_e)
     sign_ok = all(np.array_equal(np.sign(z[v != 0]), np.sign(v[v != 0]))
@@ -111,7 +118,7 @@ def kkt_check(instance: ProblemInstance, solution: Solution,
         z_beta=z_beta.astype(np.float64), z_e=z_e.astype(np.float64),
         stationarity_residual=stat,
         max_offsupport_zbeta=off_b, max_offsupport_ze=off_e,
-        strict_feasible=max(off_b, off_e) < 1.0 - _TIE_TOL,
+        strict_feasible=max(off_b + err, off_e) < 1.0 - _TIE_TOL,
         sign_consistent=sign_ok, tol=tol,
     )
 
@@ -124,17 +131,21 @@ def primal_dual_witness(instance: ProblemInstance, T, S, lam_b: float,
     truth = instance.truth
     T = index_array("T", T, instance.p)
     S = index_array("S", S, instance.n)
+    check_finite_positive("lam_b", lam_b, zero_ok=True)
+    check_finite_positive("lam_e", lam_e, zero_ok=True)
     sign_b = np.sign(truth.beta_star[T])
     sign_e = np.sign(truth.e_star[S])
 
     # Step 1: restricted candidate in closed form, anchored at the truth,
-    # so the truth's signs on (T, S) are assumed.
-    _, _, beta_hat, e_hat = restricted_solution(instance, T, S, lam_b, lam_e)
+    # so the truth's signs on (T, S) are assumed; r is its residual.
+    _, _, beta_hat, e_hat, r = _restricted_point(
+        instance.X, instance.y, T, S, sign_b, sign_e, truth.beta_star[T],
+        truth.e_star[S], lam_b, lam_e, np.float64)
 
     # Step 2 assigns on-support duals = assumed signs; they enter the
     # closed form already, so only steps 3-4 remain to verify.
     (z_beta, z_e), *_ = _scaled_duals(instance.X, instance.y, beta_hat, e_hat,
-                                      lam_b, lam_e)
+                                      lam_b, lam_e, r)
     zb_off = np.delete(z_beta, T)
     ze_off = np.delete(z_e, S)
 

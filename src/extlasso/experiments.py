@@ -17,7 +17,6 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, is_dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -256,7 +255,10 @@ def _worker_pool(n_workers: int):
     """A pool of n_workers fresh (spawned) processes with one BLAS thread
     each, so that the workers do not oversubscribe the cores.  The thread
     variables are set to 1 in the environment the workers start with, before
-    they import numpy, and restored in this process."""
+    they import numpy, and restored in this process.  multiprocessing is
+    imported here, so that a serial sweep does not pay for it."""
+    from multiprocessing import get_context
+
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     saved = {name: os.environ.get(name) for name in names}
     os.environ.update(dict.fromkeys(names, "1"))

@@ -30,7 +30,9 @@ DEFAULT_ZERO_TOL = 1e-8
 STOP_REASONS = ("precision", "budget", "singular")
 
 _RECONSTRUCTION_RTOL = 1e-10
-_ROWS = 1024  # rows of X drawn, read or converted to extended precision at a time
+# rows of X drawn, read, or (on the support columns only) converted to
+# extended precision at a time
+_ROWS = 1024
 
 
 class InputError(ValueError):

@@ -85,24 +85,33 @@ class SolverConfig:
 
 def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
     """The scaled duals (X'r / (n lam_b), r / (sqrt(n) lam_e)) at (beta, e),
-    in the dtype of beta, and the largest violations of the optimality
-    system: |z_i - sgn x_i| on the supports, and |z_i| off them for the beta
-    block and for the e block.
+    in the dtype of beta, the largest violations of the optimality system
+    (|z_i - sgn x_i| on the supports, and |z_i| off them for the beta block
+    and for the e block) and err, a bound on the error of the off-support
+    beta duals.
 
-    Without r, the residual is formed here from the support columns of
-    beta; for an extended-precision beta X'r then converts X _ROWS rows at a
-    time, so no such copy of X is made."""
+    Without r, the residual is formed here from the support columns T of
+    beta.  For a float64 beta all of it is float64 and err is 0.  For an
+    extended-precision beta, r (where the cancellation is) and X_T'r are
+    formed in that precision, X[:, T] converted _ROWS rows at a time, so
+    the on-support duals and the e block are exact to it.  The off-support
+    X'r is one float64 product on r rounded to float64; each entry is off
+    by at most (n + 2) eps ||X_j|| ||r|| (Higham 2002, sec. 3.1), so
+    err = (n + 2) eps max_j ||X_j|| ||r|| / (n lam_b)."""
     dt = beta.dtype
     n = X.shape[0]
     rn = np.sqrt(dt.type(n))
+    T = np.flatnonzero(beta)
     if r is None:
-        r = _residual(X, y, beta, e, np.flatnonzero(beta))
-    if X.dtype == dt:
-        g = X.T @ r
-    else:
-        g = np.zeros(X.shape[1], dtype=dt)
-        for rows, Xb in _row_blocks(X, slice(None), dt):
-            g += Xb.T @ r[rows]
+        r = _residual(X, y, beta, e, T)
+    g, err = X.T @ r.astype(np.float64, copy=False), 0.0
+    if X.dtype != dt:
+        g, g_T = g.astype(dt), np.zeros(len(T), dtype=dt)
+        for rows, XbT in _row_blocks(X, T, dt):
+            g_T += XbT.T @ r[rows]
+        g[T] = g_T
+        err = (n + 2) * float(np.finfo(np.float64).eps) * _max_col_norm(X) \
+            * float(np.linalg.norm(r)) / (n * lam_b)
     duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
     on_worst, off = 0.0, []
     for z, v in zip(duals, (beta, e)):
@@ -110,16 +119,22 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
         on_worst = max(on_worst, float(np.max(np.abs(z[on] - np.sign(v[on])),
                                               initial=0.0)))
         off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
-    return duals, on_worst, off[0], off[1]
+    return duals, on_worst, off[0], off[1], err
 
 
 def _duals(X, y, b, ee, lam_b, lam_e, r=None, hold_e=False):
     """(z_b, z_e, kkt): the scaled duals of (b, ee) and its KKT residual.
     With hold_e the e block is held at zero, so its duals read zero."""
-    (z_b, z_e), on, off_b, off_e = _scaled_duals(X, y, b, ee, lam_b, lam_e, r)
+    (z_b, z_e), on, off_b, off_e, _ = _scaled_duals(X, y, b, ee, lam_b,
+                                                    lam_e, r)
     if hold_e:
         z_e, off_e = np.zeros_like(z_e), 0.0
     return z_b, z_e, max(on, off_b - 1.0, off_e - 1.0, 0.0)
+
+
+def _max_col_norm(X):
+    """The largest column 2-norm of X."""
+    return math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
 
 
 def _float64_rounding_error(X, y, beta, e, lam_b, lam_e):
@@ -131,8 +146,7 @@ def _float64_rounding_error(X, y, beta, e, lam_b, lam_e):
     err_r = _ROUNDING_ULPS * float(np.finfo(np.float64).eps) * (
         np.abs(y) + np.abs(X[:, T]) @ np.abs(beta[T])
         + math.sqrt(n) * np.abs(e))
-    col = math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
-    return max(col * float(np.linalg.norm(err_r)) / (n * lam_b),
+    return max(_max_col_norm(X) * float(np.linalg.norm(err_r)) / (n * lam_b),
                float(np.max(err_r)) / (math.sqrt(n) * lam_e))
 
 
@@ -539,8 +553,9 @@ def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
 
     X[:, T] is read _ROWS rows at a time (_row_blocks), converted to dtype,
     in two passes: the first sums X_T anchor_T, G and both right-hand
-    sides, the second forms X_T h_T and X_T beta_hat_T.  So the memory is
-    O(n + |T|^2 + _ROWS |T|), not O(n |T|)."""
+    sides, picking a block's Sc and S rows by integer indices cut once per
+    call from the sorted rows; the second forms X_T h_T and X_T beta_hat_T.
+    So the memory is O(n + |T|^2 + _ROWS |T|), not O(n |T|)."""
     n, p = X.shape
     k, s = len(T), len(S)
     if k > n - s:
@@ -552,16 +567,19 @@ def _restricted_point(X, y, T, S, sign_beta, sign_e, anchor_T, anchor_S,
     on_S[S] = True
     sign_rows = np.zeros(n, dtype=dtype)
     sign_rows[S] = sign_e
+    Sc, S_rows = np.flatnonzero(~on_S), np.flatnonzero(on_S)
+    edges = np.arange(0, n + _ROWS, _ROWS)
+    cut_Sc, cut_S = np.searchsorted(Sc, edges), np.searchsorted(S_rows, edges)
     Xa = np.empty(n, dtype=dtype)
     G = np.zeros((k, k), dtype=dtype)
     rhs_Sc, rhs_S = np.zeros(k, dtype=dtype), np.zeros(k, dtype=dtype)
-    for rows, XbT in _row_blocks(X, T, dtype):
+    for i, (rows, XbT) in enumerate(_row_blocks(X, T, dtype)):
         Xa[rows] = XbT @ anchor_T
-        sc = ~on_S[rows]
-        XbScT = XbT[sc]
+        sc, on = Sc[cut_Sc[i]:cut_Sc[i + 1]], S_rows[cut_S[i]:cut_S[i + 1]]
+        XbScT = XbT[sc - rows.start]
         G += XbScT.T @ XbScT
-        rhs_Sc += XbScT.T @ (y[rows][sc] - Xa[rows][sc])
-        rhs_S += XbT[~sc].T @ sign_rows[rows][~sc]
+        rhs_Sc += XbScT.T @ (y[sc] - Xa[sc])
+        rhs_S += XbT[on - rows.start].T @ sign_rows[on]
 
     if k > 0:
         ev = np.linalg.eigvalsh(G.astype(np.float64, copy=False))

@@ -13,8 +13,11 @@ does not need at run time.
   FISTA oracle.
 - scaled_duals_all_columns is the solver's scaled duals as they were
   before their work was cut to what the supports need: the residual
-  y - X beta - sqrt(n) e summed over every column of X.  The solver must
-  reproduce it bit for bit.
+  y - X beta - sqrt(n) e summed over every column of X, and X'r over every
+  column in the dtype of beta.  The solver must reproduce its e block and
+  on-support beta duals bit for bit, and its off-support beta duals to
+  within the solver's bound on a float64 X'r.
+- kkt_verdict_all_columns is kkt_check's verdict from those duals.
 - design_one_shot and objective_full_x are gen_design and objective_value
   as they were before they stopped holding a second n x p array: the whole
   design drawn in one call in C order and copied to Fortran order, and the
@@ -63,6 +66,18 @@ def scaled_duals_all_columns(X, y, beta, e, lam_b, lam_e, rows=1024):
                                               initial=0.0)))
         off.append(float(np.max(np.abs(z[~on]), initial=0.0)))
     return duals, on_worst, off[0], off[1]
+
+
+def kkt_verdict_all_columns(X, y, beta, e, lam_b, lam_e, tol,
+                            tie_tol=1e-12):
+    """(certified, strict feasible, largest off-support beta |z|) of
+    kkt_check, from scaled_duals_all_columns in the dtype of beta."""
+    (zb, ze), on_worst, off_b, off_e = scaled_duals_all_columns(
+        X, y, beta, e, lam_b, lam_e)
+    strict = max(off_b, off_e) < 1.0 - tie_tol
+    signs = all(np.array_equal(np.sign(z[v != 0]), np.sign(v[v != 0]))
+                for z, v in ((zb, beta), (ze, e)))
+    return on_worst <= tol and strict and signs, strict, off_b
 
 
 def design_one_shot(n, p, spec=None, seed=0):

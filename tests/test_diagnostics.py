@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import extlasso as xl
+from extlasso import solver
 from extlasso.model import DimensionMismatchError
 from extlasso.rng import stream
-from oracles import brute_force_re_min, reference_re_estimate
+from oracles import (brute_force_re_min, kkt_verdict_all_columns,
+                     reference_re_estimate, scaled_duals_all_columns)
 
 
 class TestKktCheck:
@@ -91,6 +93,69 @@ class TestKktCheck:
         assert rep.stationarity_residual > 1e-4
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 1100), p=st.integers(2, 12),
+           k=st.integers(0, 12), s_frac=st.floats(0.0, 0.9),
+           gap=st.sampled_from((-1.0, 1.0)), log_gap=st.floats(-15.0, -6.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1100, p=12, k=3, s_frac=0.5, gap=1.0, log_gap=-8.0, seed=1)
+    @example(n=1100, p=12, k=3, s_frac=0.5, gap=-1.0, log_gap=-8.0, seed=1)
+    def test_verdict_agrees_with_all_columns_oracle(self, n, p, k, s_frac,
+                                                    gap, log_gap, seed):
+        """The largest off-support beta dual is put within 10^log_gap of
+        the strict-feasibility line 1 - 1e-12, on either side, with every
+        other condition met.  kkt_check never certifies what the
+        all-columns longdouble oracle refuses, and agrees with it on
+        certified and strict_feasible unless the oracle's figure lies less
+        than 2 err below the line: kkt_check's own figure is within err
+        (the bound on the float64 off-support X'r) of the oracle's, and it
+        must stay err below the line."""
+        rng = np.random.default_rng(seed)
+        X = np.asfortranarray(rng.standard_normal((n, p)))
+        w = rng.standard_normal(n)
+        T = rng.choice(p, size=min(k, p - 1), replace=False)
+        S = rng.choice(n, size=int(s_frac * n), replace=False)
+        beta, e = np.zeros(p), np.zeros(n)
+        # signs that the duals, close to X'w and w, agree with
+        beta[T] = np.sign(X[:, T].T @ w) * rng.uniform(0.5, 2.0, len(T))
+        e[S] = np.sign(w[S]) * rng.uniform(0.5, 2.0, len(S))
+        inst = xl.ProblemInstance(X=X, y=X @ beta + math.sqrt(n) * e + w)
+        b, ee = beta.astype(np.longdouble), e.astype(np.longdouble)
+        top = scaled_duals_all_columns(X, inst.y, b, ee, 1.0, 1.0)[2]
+        lam_b = top / (1.0 - 1e-12 + gap * 10.0 ** log_gap)
+        lam_e = 2.0 * float(np.max(np.abs(w))) / math.sqrt(n)
+        sol = xl.Solution(beta_hat=beta, e_hat=e, lambda_beta=lam_b,
+                          lambda_e=lam_e, objective=0.0, iterations=0,
+                          converged=True, kkt_residual=0.0)
+        rep = xl.kkt_check(inst, sol, tol=1e300)
+        certified, strict, top = kkt_verdict_all_columns(
+            X, inst.y, b, ee, lam_b, lam_e, 1e300)
+        err = solver._scaled_duals(X, inst.y, b, ee, lam_b, lam_e)[4]
+        assert 0.0 < err < 1e-9
+        assert abs(rep.max_offsupport_zbeta - top) <= err
+        assert certified or not rep.certified
+        if not 1.0 - 1e-12 - 2.0 * err <= top < 1.0 - 1e-12:
+            assert (rep.certified, rep.strict_feasible) == (certified, strict)
+
+    def test_holds_no_extended_precision_design(self):
+        # at n <= _ROWS a longdouble row block of every column is all of X:
+        # 3.6 MB here, against about 0.2 MB for the support-column work
+        inst = xl.gen_instance(890, 256, k=4, s=445, sigma=0.0, seed=46)
+        t = inst.truth
+        sol = xl.Solution(beta_hat=t.beta_star, e_hat=t.e_star,
+                          lambda_beta=5e-9, lambda_e=2.5e-9, objective=0.0,
+                          iterations=0, converged=True, kkt_residual=0.0)
+        xl.kkt_check(inst, sol)  # warm-up
+        tracemalloc.start()
+        try:
+            rep = xl.kkt_check(inst, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.z_beta.shape == (256,)
+        assert peak < 0.25 * inst.X.size * np.dtype(np.longdouble).itemsize
+
+
 class TestWitness:
     def test_easy_regime_passes(self):
         # roomy n, no corruption, tiny lambdas
@@ -162,6 +227,30 @@ class TestWitness:
             np.testing.assert_allclose(wit.beta_restricted, beta_r[T],
                                        atol=1e-12)
             np.testing.assert_allclose(wit.e_restricted, e_r[S], atol=1e-12)
+
+    def test_duals_from_the_residual_of_the_restricted_point(self):
+        """The witness takes r from the restricted point; its duals equal,
+        bit for bit, those from restricted_solution's point with the
+        residual formed again, over two row blocks."""
+        n = 2 * solver._ROWS + 37
+        inst = xl.gen_instance(n, 12, k=4, s=n // 4, sigma=0.1, seed=47)
+        t = inst.truth
+        wit = xl.primal_dual_witness(inst, t.T, t.S, 0.03, 0.02)
+        _, _, beta, e = xl.restricted_solution(inst, t.T, t.S, 0.03, 0.02)
+        (z_b, z_e), *_ = solver._scaled_duals(inst.X, inst.y, beta, e, 0.03,
+                                              0.02)
+        assert np.array_equal(wit.dual_offsupport_beta, np.delete(z_b, t.T))
+        assert np.array_equal(wit.dual_offsupport_e, np.delete(z_e, t.S))
+        assert np.array_equal(wit.beta_restricted, beta[t.T])
+        assert np.array_equal(wit.e_restricted, e[t.S])
+
+    @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+    def test_penalty_must_be_finite_and_non_negative(self, lam):
+        inst = xl.gen_instance(40, 8, k=2, s=4, sigma=0.1, seed=3)
+        t = inst.truth
+        for pair in ((lam, 0.1), (0.1, lam)):
+            with pytest.raises(xl.InputError):
+                xl.primal_dual_witness(inst, t.T, t.S, *pair)
 
     def test_requires_truth(self):
         inst = xl.gen_instance(20, 5, k=2, s=4, sigma=0.1, seed=45)

@@ -721,31 +721,66 @@ class TestSupportSizedWork:
            k=st.integers(0, 12), s_frac=st.floats(0.0, 1.0),
            log_scale=st.floats(-9.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
     @example(n=2100, p=12, k=5, s_frac=0.5, log_scale=-9.0, seed=1)
-    def test_extended_scaled_duals_equal_all_columns(self, n, p, k, s_frac,
-                                                     log_scale, seed):
-        """In extended precision, the scaled duals with the residual formed
-        from the support columns of beta equal the all-columns evaluation
-        bit for bit, across several _ROWS blocks of X'r."""
-        rng = np.random.default_rng(seed)
-        X = np.asfortranarray(rng.standard_normal((n, p)))
-        beta = np.zeros(p, dtype=np.longdouble)
-        T = rng.choice(p, size=min(k, p), replace=False)
-        beta[T] = rng.standard_normal(len(T))
-        beta[T] += np.longdouble(1e-19) * rng.standard_normal(len(T))
-        e = np.zeros(n, dtype=np.longdouble)
-        S = rng.choice(n, size=int(s_frac * n), replace=False)
-        e[S] = rng.standard_normal(len(S))
-        y = X @ beta.astype(np.float64) + math.sqrt(n) * e.astype(
-            np.float64) + 10.0 ** log_scale * rng.standard_normal(n)
-        lam_b, lam_e = 10.0 ** log_scale, 0.5 * 10.0 ** log_scale
-        (zb, ze), *rest = solver._scaled_duals(X, y, beta, e, lam_b, lam_e)
-        (zb0, ze0), *rest0 = scaled_duals_all_columns(X, y, beta, e, lam_b,
-                                                      lam_e)
-        for got, want in ((zb, zb0), (ze, ze0)):
+    def test_extended_scaled_duals_against_all_columns(self, n, p, k, s_frac,
+                                                       log_scale, seed):
+        """In extended precision, against the all-columns evaluation across
+        several _ROWS blocks: the on-support beta duals, the e block, the
+        on-support violation and the off-support e violation are equal bit
+        for bit; the off-support beta duals, whose X'r is float64, are
+        within err, and err is (n + 2) eps max_j ||X_j|| ||r|| / (n lam_b)."""
+        X, y, beta, e, lam_b, lam_e = _extended_point(n, p, k, s_frac,
+                                                      log_scale, seed)
+        (zb, ze), on, off_b, off_e, err = solver._scaled_duals(
+            X, y, beta, e, lam_b, lam_e)
+        (zb0, ze0), on0, off_b0, off_e0 = scaled_duals_all_columns(
+            X, y, beta, e, lam_b, lam_e)
+        T = beta != 0
+        for got, want in ((zb[T], zb0[T]), (ze, ze0)):
             assert got.dtype == want.dtype == np.longdouble
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert rest == rest0
+        assert (on, off_e) == (on0, off_e0)
+        assert zb.dtype == np.longdouble
+        assert float(np.max(np.abs(zb[~T] - zb0[~T]), initial=0.0)) <= err
+        assert abs(off_b - off_b0) <= err
+        r = ze0 * (np.sqrt(np.longdouble(n)) * np.longdouble(lam_e))
+        col = math.sqrt(float(np.max(np.sum(X * X, axis=0))))
+        assert err == pytest.approx((n + 2) * np.finfo(np.float64).eps * col
+                                    * float(np.linalg.norm(r)) / (n * lam_b),
+                                    rel=1e-9)
+
+    def test_off_support_bound_refuses_a_dropped_row_block(self):
+        """err is tight enough to tell an off-support X'r that lost its
+        first _ROWS-row block from the all-columns evaluation."""
+        n = 2 * solver._ROWS + 37
+        X, y, beta, e, lam_b, lam_e = _extended_point(n, 12, 4, 0.5, -6.0, 3)
+        (zb, _), *_, err = solver._scaled_duals(X, y, beta, e, lam_b, lam_e)
+        (zb0, ze0), *_ = scaled_duals_all_columns(X, y, beta, e, lam_b, lam_e)
+        off = beta == 0
+        r = (ze0 * (np.sqrt(np.longdouble(n)) * np.longdouble(lam_e))).astype(
+            np.float64)
+        rows = slice(solver._ROWS, None)
+        mutant = (X[rows].T @ r[rows]) / (n * lam_b)
+        assert float(np.max(np.abs(zb[off] - zb0[off]))) <= err
+        assert float(np.max(np.abs(mutant[off] - zb0[off]))) > 1e3 * err
+
+
+def _extended_point(n, p, k, s_frac, log_scale, seed):
+    """(X, y, beta, e, lam_b, lam_e): a Gaussian X, an extended-precision
+    (beta, e) with beta off float64 by 1e-19, and y within 10^log_scale of
+    X beta + sqrt(n) e, at penalties of that scale."""
+    rng = np.random.default_rng(seed)
+    X = np.asfortranarray(rng.standard_normal((n, p)))
+    beta = np.zeros(p, dtype=np.longdouble)
+    T = rng.choice(p, size=min(k, p), replace=False)
+    beta[T] = rng.standard_normal(len(T))
+    beta[T] += np.longdouble(1e-19) * rng.standard_normal(len(T))
+    e = np.zeros(n, dtype=np.longdouble)
+    S = rng.choice(n, size=int(s_frac * n), replace=False)
+    e[S] = rng.standard_normal(len(S))
+    y = X @ beta.astype(np.float64) + math.sqrt(n) * e.astype(
+        np.float64) + 10.0 ** log_scale * rng.standard_normal(n)
+    return X, y, beta, e, 10.0 ** log_scale, 0.5 * 10.0 ** log_scale
 
 
 # ---------------------------------------------------------------------------
@@ -938,6 +973,28 @@ class TestRestrictedSolution:
         tol = 1e3 * np.finfo(dtype).eps * np.max(np.abs(inst.y))
         assert np.max(np.abs(r - r_ref)) <= tol
 
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_order_of_S_is_only_the_order_of_g_S(self, dtype):
+        """A block's rows of S and Sc are picked from the sorted rows, so
+        S in any order, across three row blocks, gives the same point bit
+        for bit, with g_S in the order of S."""
+        n = 2 * solver._ROWS + 37
+        inst = xl.gen_instance(n, 12, k=4, s=n // 4, sigma=0.1, seed=37)
+        t = inst.truth
+        a_T = t.beta_star[t.T].astype(dtype)
+        points = []
+        for S in (t.S, np.random.default_rng(0).permutation(t.S)):
+            a_S = t.e_star[S].astype(dtype)
+            points.append((S, solver._restricted_point(
+                inst.X, inst.y, t.T, S, np.sign(a_T), np.sign(a_S), a_T, a_S,
+                0.03, 0.02, dtype)))
+        (S0, (h0, g0, *rest0)), (S1, (h1, g1, *rest1)) = points
+        assert not np.array_equal(S0, S1)
+        assert np.array_equal(h0, h1)
+        assert np.array_equal(g0[np.argsort(S0)], g1[np.argsort(S1)])
+        for a, b in zip(rest0, rest1):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_public_point_is_the_solver_point(self, dtype):

@@ -92,7 +92,6 @@ class TestKktCheck:
         rep = xl.kkt_check(inst, tampered)
         assert rep.stationarity_residual > 1e-4
 
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(2, 1100), p=st.integers(2, 12),
            k=st.integers(0, 12), s_frac=st.floats(0.0, 0.9),

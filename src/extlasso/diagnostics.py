@@ -111,7 +111,7 @@ def kkt_check(instance: ProblemInstance, solution: Solution,
     e = _as_vector("e_hat", solution.e_hat, instance.n, np.longdouble)
     (z_beta, z_e), stat, off_b, off_e, err = _scaled_duals(
         instance.X, instance.y, beta, e, solution.lambda_beta,
-        solution.lambda_e)
+        solution.lambda_e, col_norm=instance.max_col_norm)
     sign_ok = all(np.array_equal(np.sign(z[v != 0]), np.sign(v[v != 0]))
                   for z, v in ((z_beta, beta), (z_e, e)))
     return KktReport(

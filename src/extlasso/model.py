@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -174,13 +176,20 @@ class ProblemInstance:
                 raise DimensionMismatchError("beta_star length must equal p")
             if t.e_star.shape[0] != n:
                 raise DimensionMismatchError("e_star length must equal n")
-            recon = X @ t.beta_star + np.sqrt(n) * t.e_star + t.w
-            err = np.linalg.norm(y - recon)
+            # over the support columns of beta* only: the others add zeros
+            beta = np.asarray(t.beta_star, dtype=np.float64)
+            err = np.linalg.norm(_residual(X, y - t.w, beta, t.e_star,
+                                           np.flatnonzero(beta)))
             scale = max(np.linalg.norm(y), 1e-300)
             if err / scale > _RECONSTRUCTION_RTOL:
                 raise InputError(
                     f"truth does not reproduce y: relative reconstruction error {err / scale:.3e}"
                 )
+
+    @cached_property
+    def max_col_norm(self) -> float:
+        """The largest column 2-norm of X (_max_col_norm), computed once."""
+        return _max_col_norm(self.X)
 
     @property
     def n(self) -> int:
@@ -286,6 +295,11 @@ def _row_blocks(X, T, dtype):
     for i in range(0, X.shape[0], _ROWS):
         rows = slice(i, i + _ROWS)
         yield rows, X[rows, T].astype(dtype, copy=False)
+
+
+def _max_col_norm(X):
+    """The largest column 2-norm of X."""
+    return math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
 
 
 def _residual(X, y, beta, e, T):

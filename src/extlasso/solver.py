@@ -14,7 +14,10 @@ level is one call of _level, the one active-set kernel, in two phases:
 
 - the batch step (_active_set_step): primal-dual active-set iterations
   (Hintermueller, Ito & Kunisch 2002) that drop every coordinate whose sign
-  flips and add every violating one at once;
+  flips and add every violating one at once.  Where e rows enter, beta's
+  entries are read at the residual those rows will have, clipped to
+  +-sqrt(n) lambda_e: in beta the program is a Huber-loss Lasso (She & Owen
+  2011), so a gross residual that e absorbs adds no beta coordinate;
 - only if it fails, monotone feature-sign steps from the level's start
   (_feature_sign_step; Lee, Battle, Raina & Ng 2007, "Efficient sparse coding
   algorithms"; cf. Osborne, Presnell & Turlach 2000): one coordinate enters
@@ -49,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (_ROWS, InputError, ProblemInstance, SingularMatrixError,
-                    Solution, _residual, _row_blocks, check_count,
-                    check_finite_positive, index_array, objective_value,
-                    residual_objective)
+                    Solution, _max_col_norm, _residual, _row_blocks,
+                    check_count, check_finite_positive, index_array,
+                    objective_value, residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -83,7 +86,7 @@ class SolverConfig:
         check_finite_positive("tol_kkt", self.tol_kkt)
 
 
-def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
+def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None, col_norm=None):
     """The scaled duals (X'r / (n lam_b), r / (sqrt(n) lam_e)) at (beta, e),
     in the dtype of beta, the largest violations of the optimality system
     (|z_i - sgn x_i| on the supports, and |z_i| off them for the beta block
@@ -97,7 +100,8 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
     the on-support duals and the e block are exact to it.  The off-support
     X'r is one float64 product on r rounded to float64; each entry is off
     by at most (n + 2) eps ||X_j|| ||r|| (Higham 2002, sec. 3.1), so
-    err = (n + 2) eps max_j ||X_j|| ||r|| / (n lam_b)."""
+    err = (n + 2) eps max_j ||X_j|| ||r|| / (n lam_b).  col_norm is
+    max_j ||X_j|| (ProblemInstance.max_col_norm), formed here if None."""
     dt = beta.dtype
     n = X.shape[0]
     rn = np.sqrt(dt.type(n))
@@ -110,7 +114,9 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
         for rows, XbT in _row_blocks(X, T, dt):
             g_T += XbT.T @ r[rows]
         g[T] = g_T
-        err = (n + 2) * float(np.finfo(np.float64).eps) * _max_col_norm(X) \
+        if col_norm is None:
+            col_norm = _max_col_norm(X)
+        err = (n + 2) * float(np.finfo(np.float64).eps) * col_norm \
             * float(np.linalg.norm(r)) / (n * lam_b)
     duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
     on_worst, off = 0.0, []
@@ -122,31 +128,28 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None):
     return duals, on_worst, off[0], off[1], err
 
 
-def _duals(X, y, b, ee, lam_b, lam_e, r=None, hold_e=False):
+def _duals(X, y, b, ee, lam_b, lam_e, r=None, hold_e=False, col_norm=None):
     """(z_b, z_e, kkt): the scaled duals of (b, ee) and its KKT residual.
     With hold_e the e block is held at zero, so its duals read zero."""
     (z_b, z_e), on, off_b, off_e, _ = _scaled_duals(X, y, b, ee, lam_b,
-                                                    lam_e, r)
+                                                    lam_e, r, col_norm)
     if hold_e:
         z_e, off_e = np.zeros_like(z_e), 0.0
     return z_b, z_e, max(on, off_b - 1.0, off_e - 1.0, 0.0)
 
 
-def _max_col_norm(X):
-    """The largest column 2-norm of X."""
-    return math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X), initial=0.0)))
-
-
-def _float64_rounding_error(X, y, beta, e, lam_b, lam_e):
+def _float64_rounding_error(X, y, beta, e, lam_b, lam_e, col_norm=None):
     """Bound on the float64 rounding error of the scaled duals at (beta, e):
     _ROUNDING_ULPS ulps of every term summed into r, carried into X'r by
-    Cauchy-Schwarz."""
+    Cauchy-Schwarz (col_norm as in _scaled_duals)."""
     n = X.shape[0]
     T = np.flatnonzero(beta)
     err_r = _ROUNDING_ULPS * float(np.finfo(np.float64).eps) * (
         np.abs(y) + np.abs(X[:, T]) @ np.abs(beta[T])
         + math.sqrt(n) * np.abs(e))
-    return max(_max_col_norm(X) * float(np.linalg.norm(err_r)) / (n * lam_b),
+    if col_norm is None:
+        col_norm = _max_col_norm(X)
+    return max(col_norm * float(np.linalg.norm(err_r)) / (n * lam_b),
                float(np.max(err_r)) / (math.sqrt(n) * lam_e))
 
 
@@ -199,13 +202,24 @@ def _active_set_step(instance, beta, e, lam_b, lam_e, tol, exact, seen,
     returns the accepted point and its KKT residual as (b, e, kkt), or None.
 
     Each iteration solves the restricted system on the current signs in
-    float64, drops every on-support coordinate whose sign flips, and adds
-    every off-support coordinate (of beta or of e) whose scaled dual
-    exceeds 1 + tol, with the dual's sign.  When nothing changes, _judge
-    decides.  The step fails on a singular system, on a signed support
-    that repeats, after _STEP_SOLVES solves, or when the point is refused.
-    The points solved for are left in seen, keyed by their signs."""
+    float64 and drops every on-support coordinate whose sign flips.  The e
+    block goes first: every off-support row whose scaled dual exceeds
+    1 + tol enters with the dual's sign.  If none enters, so does every
+    off-support coordinate of beta, read at the point's residual r.  If
+    some rows enter, beta's entries are read at r_in, r with each entering
+    row set to sqrt(n) lam_e sgn, the residual that row has at the next
+    restricted point: for a fixed beta the best e clips every residual to
+    +-sqrt(n) lam_e, so in beta the program is a Huber-loss Lasso (She &
+    Owen 2011), and a row's gross residual is not beta's to fit.  There a
+    dual that reads 1 within _TIE_RTOL enters too, so that where a beta
+    coordinate and an e row explain the same residual (every split is then
+    optimal) beta's is tried.  When nothing changes, _judge decides.  The
+    step fails on a singular system, on a signed support that repeats,
+    after _STEP_SOLVES solves, or when the point is refused.  The points
+    solved for are left in seen, keyed by their signs."""
     X, y = instance.X, instance.y
+    n = X.shape[0]
+    clip = np.sqrt(np.float64(n)) * lam_e  # |r_i| at a row of the e support
     sb, se = np.sign(beta), np.sign(e)
     b, ee = beta, e
     for _ in range(_STEP_SOLVES):
@@ -217,17 +231,25 @@ def _active_set_step(instance, beta, e, lam_b, lam_e, tol, exact, seen,
         if point is None:
             break
         b, ee, r = point
-        z_b, z_e, kkt = _duals(X, y, b, ee, lam_b, lam_e, r, hold_e)
-        new_sb, new_se = (_next_signs(s, v, z, tol)
-                          for s, v, z in ((sb, b, z_b), (se, ee, z_e)))
+        new_se = se if hold_e else _next_signs(se, ee, r / clip, tol)
+        enter = (se == 0) & (new_se != 0)
+        if enter.any():
+            r_in = r.copy()
+            r_in[enter] = clip * new_se[enter]
+            sb = _next_signs(sb, b, X.T @ r_in / (n * lam_b), -_TIE_RTOL)
+            se = new_se
+            continue
+        z_b, _, kkt = _duals(X, y, b, ee, lam_b, lam_e, r, hold_e)
+        new_sb = _next_signs(sb, b, z_b, tol)
         if not (np.array_equal(new_sb, sb) and np.array_equal(new_se, se)):
             sb, se = new_sb, new_se
             continue
-        return _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact)
+        return _judge(instance, beta, e, b, ee, r, kkt, lam_b, lam_e, tol,
+                      exact)
     return None
 
 
-def _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
+def _judge(instance, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
     """Accept or refuse the float64 point (b, ee), with residual r and KKT
     residual kkt, of a level that started at (beta, e).  Returns
     (b, ee, kkt) when it is accepted, else None.
@@ -240,6 +262,7 @@ def _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
     miss that rounding can explain is solved once more, in extended
     precision on the signs of (b, ee), and judged on signs and kkt <= tol;
     a certified point needs no objective test."""
+    X, y = instance.X, instance.y
     if not exact:
         start_obj = residual_objective(
             _residual(X, y, beta, e, np.flatnonzero(beta)), beta, e,
@@ -248,7 +271,8 @@ def _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
                 residual_objective(r, b, ee, lam_b, lam_e) <= start_obj:
             return b, ee, kkt
         return None
-    err = _float64_rounding_error(X, y, b, ee, lam_b, lam_e)
+    col_norm = instance.max_col_norm
+    err = _float64_rounding_error(X, y, b, ee, lam_b, lam_e, col_norm)
     if kkt + err <= tol:
         return b, ee, kkt
     if kkt - err > tol:
@@ -259,7 +283,7 @@ def _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e, tol, exact):
     if point is None or _sign_key(*point[:2]) != key:
         return None
     b, ee, r = point
-    kkt = _duals(X, y, b, ee, lam_b, lam_e, r)[2]
+    kkt = _duals(X, y, b, ee, lam_b, lam_e, r, col_norm=col_norm)[2]
     return (b, ee, kkt) if kkt <= tol else None
 
 
@@ -299,8 +323,8 @@ def _level(instance, lam_b, lam_e, beta, e, tol, budget, exact,
             # Bland's rule: the smallest index among the largest
             i = int(np.flatnonzero(viol >= viol.max() * (1.0 - _TIE_RTOL))[0])
             if stuck or viol[i] <= 1.0 + tol:
-                point = _judge(X, y, beta, e, b, ee, r, kkt, lam_b, lam_e,
-                               tol, exact)
+                point = _judge(instance, beta, e, b, ee, r, kkt, lam_b,
+                               lam_e, tol, exact)
                 if point is not None:
                     return (*point, steps, None)
                 return b, ee, None, steps, \

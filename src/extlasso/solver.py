@@ -52,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (_ROWS, InputError, ProblemInstance, SingularMatrixError,
-                    Solution, _max_col_norm, _residual, _row_blocks,
-                    check_count, check_finite_positive, index_array,
-                    objective_value, residual_objective)
+                    Solution, _residual, _row_blocks, check_count,
+                    check_finite_positive, index_array, objective_value,
+                    residual_objective)
 
 _MAX_COND = 1e12
 _PATH_TOL = 1e-6  # stationarity every path level runs to (or tol_kkt if looser)
@@ -101,7 +101,7 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None, col_norm=None):
     X'r is one float64 product on r rounded to float64; each entry is off
     by at most (n + 2) eps ||X_j|| ||r|| (Higham 2002, sec. 3.1), so
     err = (n + 2) eps max_j ||X_j|| ||r|| / (n lam_b).  col_norm is
-    max_j ||X_j|| (ProblemInstance.max_col_norm), formed here if None."""
+    max_j ||X_j|| (ProblemInstance.max_col_norm), needed only there."""
     dt = beta.dtype
     n = X.shape[0]
     rn = np.sqrt(dt.type(n))
@@ -114,8 +114,6 @@ def _scaled_duals(X, y, beta, e, lam_b, lam_e, r=None, col_norm=None):
         for rows, XbT in _row_blocks(X, T, dt):
             g_T += XbT.T @ r[rows]
         g[T] = g_T
-        if col_norm is None:
-            col_norm = _max_col_norm(X)
         err = (n + 2) * float(np.finfo(np.float64).eps) * col_norm \
             * float(np.linalg.norm(r)) / (n * lam_b)
     duals = (g / (dt.type(n) * dt.type(lam_b)), r / (rn * dt.type(lam_e)))
@@ -138,17 +136,15 @@ def _duals(X, y, b, ee, lam_b, lam_e, r=None, hold_e=False, col_norm=None):
     return z_b, z_e, max(on, off_b - 1.0, off_e - 1.0, 0.0)
 
 
-def _float64_rounding_error(X, y, beta, e, lam_b, lam_e, col_norm=None):
+def _float64_rounding_error(X, y, beta, e, lam_b, lam_e, col_norm):
     """Bound on the float64 rounding error of the scaled duals at (beta, e):
     _ROUNDING_ULPS ulps of every term summed into r, carried into X'r by
-    Cauchy-Schwarz (col_norm as in _scaled_duals)."""
+    Cauchy-Schwarz (col_norm is max_j ||X_j||)."""
     n = X.shape[0]
     T = np.flatnonzero(beta)
     err_r = _ROUNDING_ULPS * float(np.finfo(np.float64).eps) * (
         np.abs(y) + np.abs(X[:, T]) @ np.abs(beta[T])
         + math.sqrt(n) * np.abs(e))
-    if col_norm is None:
-        col_norm = _max_col_norm(X)
     return max(col_norm * float(np.linalg.norm(err_r)) / (n * lam_b),
                float(np.max(err_r)) / (math.sqrt(n) * lam_e))
 
@@ -205,18 +201,19 @@ def _active_set_step(instance, beta, e, lam_b, lam_e, tol, exact, seen,
     float64 and drops every on-support coordinate whose sign flips.  The e
     block goes first: every off-support row whose scaled dual exceeds
     1 + tol enters with the dual's sign.  If none enters, so does every
-    off-support coordinate of beta, read at the point's residual r.  If
-    some rows enter, beta's entries are read at r_in, r with each entering
-    row set to sqrt(n) lam_e sgn, the residual that row has at the next
-    restricted point: for a fixed beta the best e clips every residual to
-    +-sqrt(n) lam_e, so in beta the program is a Huber-loss Lasso (She &
-    Owen 2011), and a row's gross residual is not beta's to fit.  There a
-    dual that reads 1 within _TIE_RTOL enters too, so that where a beta
-    coordinate and an e row explain the same residual (every split is then
-    optimal) beta's is tried.  When nothing changes, _judge decides.  The
-    step fails on a singular system, on a signed support that repeats,
-    after _STEP_SOLVES solves, or when the point is refused.  The points
-    solved for are left in seen, keyed by their signs."""
+    off-support coordinate of beta whose dual at the point's residual r
+    exceeds 1 + tol.  If some rows enter, beta's duals are read at r_in, r
+    with each entering row set to sqrt(n) lam_e sgn, the residual that row
+    has at the next restricted point: for a fixed beta the best e clips
+    every residual to +-sqrt(n) lam_e, so in beta the program is a
+    Huber-loss Lasso (She & Owen 2011), and a row's gross residual is not
+    beta's to fit.  There every dual that reads at least 1 within
+    _TIE_RTOL enters, so that where a beta coordinate and an e row explain
+    the same residual (every split is then optimal) beta's is tried.  When
+    nothing changes, _judge decides.  The step fails on a singular system,
+    on a signed support that repeats, after _STEP_SOLVES solves, or when
+    the point is refused.  The points solved for are left in seen, keyed
+    by their signs."""
     X, y = instance.X, instance.y
     n = X.shape[0]
     clip = np.sqrt(np.float64(n)) * lam_e  # |r_i| at a row of the e support

@@ -129,7 +129,8 @@ class TestKktCheck:
         rep = xl.kkt_check(inst, sol, tol=1e300)
         certified, strict, top = kkt_verdict_all_columns(
             X, inst.y, b, ee, lam_b, lam_e, 1e300)
-        err = solver._scaled_duals(X, inst.y, b, ee, lam_b, lam_e)[4]
+        err = solver._scaled_duals(X, inst.y, b, ee, lam_b, lam_e,
+                                   col_norm=inst.max_col_norm)[4]
         assert 0.0 < err < 1e-9
         assert abs(rep.max_offsupport_zbeta - top) <= err
         assert certified or not rep.certified

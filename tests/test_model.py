@@ -154,6 +154,20 @@ class TestProblemInstance:
         with pytest.raises(xl.InputError):
             xl.ProblemInstance(X=inst.X, y=inst.y, truth=bad)
 
+    def test_truth_check_keeps_its_tolerance(self):
+        """The truth, checked over beta*'s support columns, must still
+        reproduce y to a relative 1e-10: y moved by 0.5e-10 of its norm
+        passes, y moved by 2e-10 does not, and X is kept, not copied."""
+        inst = xl.gen_instance(60, 16, k=3, s=10, sigma=0.1, seed=2)
+        d = np.random.default_rng(0).standard_normal(inst.n)
+        d *= np.linalg.norm(inst.y) / np.linalg.norm(d)
+        ok = xl.ProblemInstance(X=inst.X, y=inst.y + 0.5e-10 * d,
+                                truth=inst.truth)
+        assert ok.X is inst.X
+        with pytest.raises(xl.InputError, match="reconstruction"):
+            xl.ProblemInstance(X=inst.X, y=inst.y + 2e-10 * d,
+                               truth=inst.truth)
+
     def test_nonfinite_design_rejected(self):
         X = np.ones((3, 2))
         X[0, 0] = np.inf

@@ -231,10 +231,9 @@ def _active_set_step(instance, beta, e, lam_b, lam_e, tol, exact, seen,
         new_se = se if hold_e else _next_signs(se, ee, r / clip, tol)
         enter = (se == 0) & (new_se != 0)
         if enter.any():
-            r_in = r.copy()
-            r_in[enter] = clip * new_se[enter]
-            sb = _next_signs(sb, b, X.T @ r_in / (n * lam_b), -_TIE_RTOL)
-            se = new_se
+            r_in = np.where(enter, clip * new_se, r)
+            sb, se = _next_signs(sb, b, X.T @ r_in / (n * lam_b),
+                                 -_TIE_RTOL), new_se
             continue
         z_b, _, kkt = _duals(X, y, b, ee, lam_b, lam_e, r, hold_e)
         new_sb = _next_signs(sb, b, z_b, tol)
